@@ -174,6 +174,19 @@ impl EventCatalog {
 /// windowed stateless events.
 pub const DEFAULT_WINDOW_MS: i64 = MINUTE_MS;
 
+/// Whether an event is host-only telemetry: it describes the NC itself and
+/// damages no hosted VM, so NC→VM propagation skips it while NC-scoped
+/// lookups keep it. The TDP inspection (Case 7) is the one such event — a
+/// power-collector reading, not a guest-visible fault.
+///
+/// This is the single place that names host-only telemetry. Its one
+/// caller is `cloudbot::pipeline::route_to_vms`, through which the batch
+/// pipeline, the dataflow job, the scenario tables and the live service
+/// all route NC damage.
+pub fn is_host_only(name: &str) -> bool {
+    name == "inspect_cpu_power_tdp"
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +246,13 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(perf, sorted);
         assert!(perf.contains(&"slow_io"));
+    }
+
+    #[test]
+    fn only_the_tdp_inspection_is_host_only() {
+        let c = EventCatalog::paper_defaults();
+        let host_only: Vec<&str> = c.iter().map(|(n, _)| n).filter(|n| is_host_only(n)).collect();
+        assert_eq!(host_only, vec!["inspect_cpu_power_tdp"]);
     }
 
     #[test]

@@ -103,16 +103,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Enqueue under the given policy: blocks for space under
-    /// [`BackpressurePolicy::Block`], sheds under
-    /// [`BackpressurePolicy::Shed`].
-    pub fn push(&self, item: T, policy: BackpressurePolicy) -> PushOutcome {
-        match policy {
-            BackpressurePolicy::Block => self.push_blocking(item),
-            BackpressurePolicy::Shed => self.try_push(item),
-        }
-    }
-
     /// Enqueue, waiting for space if full. Returns [`PushOutcome::Closed`]
     /// if the queue closed while waiting.
     pub fn push_blocking(&self, item: T) -> PushOutcome {
@@ -339,13 +329,13 @@ mod tests {
     fn shed_policy_drops_when_full_and_counts_nothing_silently() {
         let q = BoundedQueue::new(2);
         q.pause();
-        assert_eq!(q.push(1, BackpressurePolicy::Shed), PushOutcome::Accepted);
-        assert_eq!(q.push(2, BackpressurePolicy::Shed), PushOutcome::Accepted);
-        assert_eq!(q.push(3, BackpressurePolicy::Shed), PushOutcome::Shed);
+        assert_eq!(q.try_push(1), PushOutcome::Accepted);
+        assert_eq!(q.try_push(2), PushOutcome::Accepted);
+        assert_eq!(q.try_push(3), PushOutcome::Shed);
         assert_eq!(q.len(), 2);
         q.resume();
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.push(4, BackpressurePolicy::Shed), PushOutcome::Accepted);
+        assert_eq!(q.try_push(4), PushOutcome::Accepted);
     }
 
     #[test]

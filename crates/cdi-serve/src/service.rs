@@ -8,11 +8,14 @@
 //! process computing the routing agrees on it, and state re-hashes
 //! correctly into a *different* shard count.
 //!
-//! NC fan-out happens at the service edge, mirroring the batch daily job:
-//! a span targeting an NC also damages every VM hosted on it — except
-//! host-only telemetry (e.g. `inspect_cpu_power_tdp`), which stays at NC
-//! scope. The NC's own accumulators keep the full stream either way, so
-//! NC-scoped point lookups still answer.
+//! NC fan-out happens at the service edge, through the batch pipeline's own
+//! routing function [`cloudbot::pipeline::route_to_vms`]: a span targeting
+//! an NC also damages every VM hosted on it (`Fleet::vms_on`), except
+//! host-only telemetry ([`cdi_core::catalog::is_host_only`]), which stays
+//! at NC scope. The NC's own accumulators keep the full stream either way,
+//! so NC-scoped point lookups still answer. Every write — one span or a
+//! batch — goes through [`CdiService::ingest_batch`], so `expand` is the
+//! only fan-out in the service.
 //!
 //! The watermark is coordinated: [`CdiService::advance_watermark`] checks
 //! monotonicity once at the service level, then broadcasts the advance to
@@ -36,7 +39,6 @@
 //! checkpoint + journal before pushing, and [`CdiService::supervise`]
 //! sweeps the pool on demand.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
@@ -44,6 +46,7 @@ use cdi_core::error::{CdiError, Result};
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_core::indicator::VmCdi;
 use cdi_core::time::Timestamp;
+use cloudbot::pipeline::route_to_vms;
 use simfleet::Fleet;
 
 use crate::lifecycle::{moved_targets, shard_index, split_merge, AdmissionGate, ResizeOutcome};
@@ -66,9 +69,6 @@ pub struct ServeConfig {
     pub policy: BackpressurePolicy,
     /// Start of the service period every accumulator measures from.
     pub period_start: Timestamp,
-    /// Event names that stay at NC scope instead of fanning out to hosted
-    /// VMs (the batch job's host-only telemetry exclusion).
-    pub host_only_events: Vec<String>,
     /// Applied messages between per-shard checkpoints (crash-recovery
     /// granularity: a respawn replays at most this many journal entries).
     pub checkpoint_every: usize,
@@ -81,7 +81,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             policy: BackpressurePolicy::Block,
             period_start: 0,
-            host_only_events: vec!["inspect_cpu_power_tdp".to_string()],
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
@@ -114,8 +113,9 @@ pub struct CdiService {
     /// The shard pool. Queries take the read lock; lifecycle operations
     /// swap the whole vector under the write lock (the atomic cutover).
     pool: TrackedRwLock<Vec<Shard>>,
-    /// NC → hosted VMs, for ingest-time fan-out.
-    routes: HashMap<u64, Vec<u64>>,
+    /// The fleet whose NC→VM index routes ingest-time fan-out (`None`:
+    /// every span stays on its own target).
+    fleet: Option<Fleet>,
     /// The coordinated watermark (the value last broadcast).
     watermark: TrackedMutex<Timestamp>,
     /// Shared with every shard so respawns land in the same event log.
@@ -151,7 +151,7 @@ impl CdiService {
         Ok(CdiService {
             cfg,
             pool: TrackedRwLock::new("pool", pool),
-            routes: HashMap::new(),
+            fleet: None,
             watermark,
             metrics,
             gate: AdmissionGate::default(),
@@ -171,11 +171,7 @@ impl CdiService {
 
     /// Install NC → VM routing from the fleet topology (builder style).
     pub fn with_fleet_routing(mut self, fleet: &Fleet) -> CdiService {
-        let mut routes: HashMap<u64, Vec<u64>> = HashMap::new();
-        for nc in fleet.ncs() {
-            routes.insert(nc.id, fleet.vms_on(nc.id).to_vec());
-        }
-        self.routes = routes;
+        self.fleet = Some(fleet.clone());
         self
     }
 
@@ -211,18 +207,12 @@ impl CdiService {
         shard_index(target, self.rd().len())
     }
 
-    /// Offer one logical span. NC targets fan out to their hosted VMs
-    /// (host-only event names excepted) in addition to the NC itself.
+    /// Offer one logical span: a one-item [`CdiService::ingest_batch`].
     ///
     /// Blocks while a lifecycle fence is up: elasticity stalls producers,
     /// it never loses or errors their spans.
     pub fn ingest(&self, target: Target, span: EventSpan) -> IngestReport {
-        self.gate.admit(|| {
-            let pool = self.rd(); // lock: pool
-            let mut report = IngestReport::default();
-            self.fan_out(&pool, target, &span, &mut report);
-            report
-        })
+        self.ingest_batch(&[IngestItem { target, span }])
     }
 
     /// Offer many logical spans in one request: the whole batch passes
@@ -232,9 +222,9 @@ impl CdiService {
     /// [`crate::proto::Request::IngestBatch`], which the cdipack wire
     /// dialect compresses into one frame.
     ///
-    /// Per-shard delivery order within the batch matches the per-span
-    /// path; only the interleaving *across* shards differs, which
-    /// concurrent producers never ordered anyway.
+    /// Per-shard delivery order follows the batch order; the interleaving
+    /// *across* shards is not ordered, as concurrent producers never
+    /// ordered it anyway.
     pub fn ingest_batch(&self, items: &[IngestItem]) -> IngestReport {
         self.gate.admit(|| {
             let pool = self.rd(); // lock: pool
@@ -248,8 +238,9 @@ impl CdiService {
                 if msgs.is_empty() {
                     continue;
                 }
-                // Write-path supervision, once per group (the per-span
-                // path checks per push for the same reason).
+                // Write-path supervision: a dead shard's queue would fill
+                // and stall a blocking producer forever, so heal before
+                // pushing.
                 if !shard.is_alive() {
                     shard.respawn_if_dead();
                 }
@@ -264,9 +255,11 @@ impl CdiService {
         })
     }
 
-    /// The group-building twin of [`CdiService::fan_out`]: expand one
-    /// logical span (including its NC→VM fan-out) into per-shard message
-    /// groups instead of pushing each delivery individually.
+    /// The service's one fan-out: expand a logical span into per-shard
+    /// deliveries. An NC span also goes to the VMs that
+    /// [`cloudbot::pipeline::route_to_vms`] says it damages (none for
+    /// host-only telemetry), then to the NC itself, whose accumulators
+    /// keep the full stream for NC-scoped lookups.
     fn expand(
         &self,
         pool: &[Shard],
@@ -274,54 +267,18 @@ impl CdiService {
         span: &EventSpan,
         groups: &mut [Vec<ShardMsg>],
     ) {
-        if let Target::Nc(nc) = target {
-            if !self.cfg.host_only_events.iter().any(|n| n == &span.name) {
-                if let Some(vms) = self.routes.get(&nc) {
-                    for &vm in vms {
-                        let t = Target::Vm(vm);
-                        groups[shard_index(t, pool.len())]
-                            .push(ShardMsg::Span { target: t, span: span.clone() });
-                    }
+        if let (Target::Nc(_), Some(fleet)) = (target, &self.fleet) {
+            let (vms, damage) = route_to_vms(fleet, target, std::slice::from_ref(span));
+            for span in damage {
+                for &vm in vms {
+                    let t = Target::Vm(vm);
+                    groups[shard_index(t, pool.len())]
+                        .push(ShardMsg::Span { target: t, span: span.clone() });
                 }
             }
         }
         groups[shard_index(target, pool.len())]
             .push(ShardMsg::Span { target, span: span.clone() });
-    }
-
-    /// NC fan-out for one logical span: hosted VMs first (unless the
-    /// event is host-only), then the target itself.
-    fn fan_out(&self, pool: &[Shard], target: Target, span: &EventSpan, report: &mut IngestReport) {
-        if let Target::Nc(nc) = target {
-            if !self.cfg.host_only_events.iter().any(|n| n == &span.name) {
-                if let Some(vms) = self.routes.get(&nc) {
-                    for &vm in vms {
-                        self.deliver(pool, Target::Vm(vm), span.clone(), report);
-                    }
-                }
-            }
-        }
-        self.deliver(pool, target, span.clone(), report);
-    }
-
-    fn deliver(&self, pool: &[Shard], target: Target, span: EventSpan, report: &mut IngestReport) {
-        let shard = &pool[shard_index(target, pool.len())];
-        // Write-path supervision: a dead shard's queue would fill and
-        // stall a blocking producer forever, so heal before pushing.
-        if !shard.is_alive() {
-            shard.respawn_if_dead();
-        }
-        match shard.queue.push(ShardMsg::Span { target, span }, self.cfg.policy) {
-            PushOutcome::Accepted => {
-                shard.note_enqueued();
-                ServiceMetrics::bump(&self.metrics.spans_ingested);
-                report.accepted += 1;
-            }
-            PushOutcome::Shed | PushOutcome::Closed => {
-                ServiceMetrics::bump(&self.metrics.spans_shed);
-                report.shed += 1;
-            }
-        }
     }
 
     /// Advance the coordinated watermark, broadcasting to every shard.
@@ -692,7 +649,7 @@ impl CdiService {
         let service = CdiService {
             cfg,
             pool: TrackedRwLock::new("pool", pool),
-            routes: HashMap::new(),
+            fleet: None,
             watermark,
             metrics,
             gate: AdmissionGate::default(),

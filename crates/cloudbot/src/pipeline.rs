@@ -4,20 +4,28 @@
 //! This is the library form of the paper's daily job (Section V): collect,
 //! extract, derive periods, weight, and run Algorithm 1 per VM. The
 //! distributed version of the same computation — expressed as a `minispark`
-//! dataflow — lives in the root crate's `daily_job` module; both produce
-//! identical rows, which an integration test asserts.
+//! dataflow — lives in the root crate's `daily_job` module and calls the
+//! per-target steps defined here ([`DailyPipeline::target_spans_lenient`],
+//! [`route_to_vms`], [`event_rows`]); both produce identical rows, which an
+//! integration test asserts bit for bit.
+//!
+//! NC→VM damage has one path. [`route_to_vms`] maps a target's spans to the
+//! VMs they damage through [`Fleet::vms_on`], and it is the only caller of
+//! the host-only rule [`cdi_core::catalog::is_host_only`]. The serial
+//! pipeline, the dataflow job, the scenario tick tables and the live
+//! service's NC fan-out all route through it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use cdi_core::catalog::EventCatalog;
+use cdi_core::catalog::{is_host_only, EventCatalog};
 use cdi_core::error::Result;
 use cdi_core::event::{EventSpan, RawEvent, Severity, Target};
-use cdi_core::indicator::{compute_vm_cdi, ServicePeriod, VmCdi};
+use cdi_core::indicator::{compute_vm_cdi, event_level_cdi, ServicePeriod, VmCdi};
 use cdi_core::period::{derive_periods, UnmatchedPolicy};
 use cdi_core::quarantine::{assign_weights_lenient, derive_periods_lenient, QuarantinedEvent};
 use cdi_core::weight::WeightTable;
 use simfleet::world::SimWorld;
-use simfleet::VmId;
+use simfleet::{Fleet, VmId};
 
 use crate::collector::Collector;
 use crate::extractor::Extractor;
@@ -222,21 +230,45 @@ impl DailyPipeline {
     /// (with a typed reason) instead of failing the batch, and spans whose
     /// assigned weight is NaN or infinite are diverted too (Algorithm 1
     /// would otherwise reject the whole span set). Never panics or errors.
+    ///
+    /// Events are grouped by target and each group goes through
+    /// [`DailyPipeline::target_spans_lenient`], the same per-target step
+    /// the `daily_job` dataflow runs in its partitions. The dead-letter
+    /// collection comes out in target order.
     #[allow(clippy::type_complexity)]
     pub fn spans_by_target_lenient(
         &self,
         events: &[RawEvent],
         end: i64,
     ) -> (HashMap<Target, Vec<EventSpan>>, Vec<QuarantinedEvent>) {
-        let outcome = derive_periods_lenient(events, &self.catalog, end, self.policy);
-        let mut quarantined = outcome.quarantined;
-        let mut out: HashMap<Target, Vec<EventSpan>> = HashMap::new();
-        for pe in &outcome.periods {
-            let (spans, bad) = assign_weights_lenient(&self.weights, std::slice::from_ref(pe));
+        let mut grouped: BTreeMap<Target, Vec<RawEvent>> = BTreeMap::new();
+        for e in events {
+            grouped.entry(e.target).or_default().push(e.clone());
+        }
+        let mut out = HashMap::with_capacity(grouped.len());
+        let mut quarantined = Vec::new();
+        for (target, events) in grouped {
+            let (spans, bad) = self.target_spans_lenient(&events, end);
             quarantined.extend(bad);
-            out.entry(pe.target).or_default().extend(spans);
+            out.insert(target, spans);
         }
         (out, quarantined)
+    }
+
+    /// Derive periods and weights for one target's events, diverting
+    /// malformed events and non-finite weights to the dead-letter
+    /// collection. Derivation pairs stateful markers per target, so a
+    /// target's spans do not depend on other targets' events.
+    pub fn target_spans_lenient(
+        &self,
+        events: &[RawEvent],
+        end: i64,
+    ) -> (Vec<EventSpan>, Vec<QuarantinedEvent>) {
+        let outcome = derive_periods_lenient(events, &self.catalog, end, self.policy);
+        let (spans, weight_bad) = assign_weights_lenient(&self.weights, &outcome.periods);
+        let mut quarantined = outcome.quarantined;
+        quarantined.extend(weight_bad);
+        (spans, quarantined)
     }
 
     /// The paper's first output table: one [`VmCdi`] row per VM over the
@@ -249,8 +281,8 @@ impl DailyPipeline {
 
     /// Per-VM spans with NC damage propagated onto hosted VMs — the common
     /// input of Algorithm 1 and of the baseline metrics (Downtime
-    /// Percentage, AIR). Host-only telemetry (the TDP inspection) stays at
-    /// NC scope and is excluded here.
+    /// Percentage, AIR). Propagation goes through [`route_to_vms`], so
+    /// host-only telemetry stays at NC scope.
     pub fn vm_spans(
         &self,
         world: &SimWorld,
@@ -258,29 +290,21 @@ impl DailyPipeline {
         end: i64,
     ) -> Result<HashMap<VmId, Vec<EventSpan>>> {
         let by_target = self.spans_by_target(events, end)?;
-        Ok(Self::propagate_nc_damage(world, &by_target))
+        Ok(propagate_nc_damage(&world.fleet, &by_target))
     }
 
-    /// Project a by-target span map onto VMs, copying each NC's spans onto
-    /// its hosted VMs (host-only telemetry excluded) — shared by the strict
-    /// and lenient paths.
-    fn propagate_nc_damage(
+    /// Fault-tolerant variant of [`DailyPipeline::vm_spans`]: the lenient
+    /// derivation of [`DailyPipeline::spans_by_target_lenient`] followed by
+    /// the same NC→VM propagation, plus the dead-letter collection.
+    #[allow(clippy::type_complexity)]
+    pub fn vm_spans_lenient(
+        &self,
         world: &SimWorld,
-        by_target: &HashMap<Target, Vec<EventSpan>>,
-    ) -> HashMap<VmId, Vec<EventSpan>> {
-        let empty: Vec<EventSpan> = Vec::new();
-        let mut out = HashMap::with_capacity(world.fleet.vms().len());
-        for vm in world.fleet.vms() {
-            let mut spans: Vec<EventSpan> =
-                by_target.get(&Target::Vm(vm.id)).unwrap_or(&empty).clone();
-            if let Some(nc_spans) = by_target.get(&Target::Nc(vm.nc)) {
-                spans.extend(
-                    nc_spans.iter().filter(|s| s.name != "inspect_cpu_power_tdp").cloned(),
-                );
-            }
-            out.insert(vm.id, spans);
-        }
-        out
+        events: &[RawEvent],
+        end: i64,
+    ) -> (HashMap<VmId, Vec<EventSpan>>, Vec<QuarantinedEvent>) {
+        let (by_target, quarantined) = self.spans_by_target_lenient(events, end);
+        (propagate_nc_damage(&world.fleet, &by_target), quarantined)
     }
 
     /// Fault-tolerant variant of [`DailyPipeline::vm_cdi_rows`]: malformed
@@ -296,13 +320,8 @@ impl DailyPipeline {
         end: i64,
     ) -> Result<(Vec<VmCdi>, Vec<QuarantinedEvent>, RunReport)> {
         let events = self.events(world, start, end);
-        let (by_target, quarantined) = self.spans_by_target_lenient(&events, end);
-        let spans = Self::propagate_nc_damage(world, &by_target);
-        let period = ServicePeriod::new(start, end)?;
-        let mut rows = Vec::with_capacity(world.fleet.vms().len());
-        for vm in world.fleet.vms() {
-            rows.push(compute_vm_cdi(vm.id, &spans[&vm.id], period)?);
-        }
+        let (spans, quarantined) = self.vm_spans_lenient(world, &events, end);
+        let rows = vm_rows(&world.fleet, &spans, start, end)?;
         let report = RunReport::new(quarantined.len(), 0, 0);
         Ok((rows, quarantined, report))
     }
@@ -317,12 +336,7 @@ impl DailyPipeline {
         end: i64,
     ) -> Result<Vec<VmCdi>> {
         let spans = self.vm_spans(world, events, end)?;
-        let period = ServicePeriod::new(start, end)?;
-        let mut rows = Vec::with_capacity(world.fleet.vms().len());
-        for vm in world.fleet.vms() {
-            rows.push(compute_vm_cdi(vm.id, &spans[&vm.id], period)?);
-        }
-        Ok(rows)
+        vm_rows(&world.fleet, &spans, start, end)
     }
 
     /// Event-level drill-down rows: `(target, event name) → CDI` — the
@@ -337,34 +351,84 @@ impl DailyPipeline {
         let period = ServicePeriod::new(start, end)?;
         let mut out = Vec::new();
         for (target, spans) in &by_target {
-            let mut names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-            names.sort_unstable();
-            names.dedup();
-            for name in names {
-                let q = cdi_core::indicator::event_level_cdi(spans, period, name)?;
-                out.push((*target, name.to_string(), q));
+            for (name, q) in event_rows(spans, period)? {
+                out.push((*target, name, q));
             }
         }
         out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         Ok(out)
     }
+}
 
-    /// Per-VM spans for a custom slice of VMs (used by the A/B experiment,
-    /// which windows each VM separately).
-    pub fn spans_for_vm(
-        &self,
-        events: &[RawEvent],
-        vm: VmId,
-        end: i64,
-    ) -> Result<Vec<EventSpan>> {
-        Ok(self.spans_by_target(events, end)?.remove(&Target::Vm(vm)).unwrap_or_default())
+/// NC→VM damage routing, the one place that decides which VMs a target's
+/// spans damage: a VM's spans damage that VM, and an NC's spans damage
+/// every VM it hosts ([`Fleet::vms_on`]) except host-only telemetry
+/// ([`is_host_only`]), which stays at NC scope. Targets outside the fleet
+/// damage no VM.
+///
+/// Returns the damaged VMs and the spans each of them receives. The serial
+/// pipeline folds it over a by-target span map, the `daily_job` dataflow
+/// `flat_map`s partitions through it, and the live service routes each
+/// ingested NC span through it.
+pub fn route_to_vms<'a>(
+    fleet: &'a Fleet,
+    target: Target,
+    spans: &'a [EventSpan],
+) -> (&'a [VmId], impl Iterator<Item = &'a EventSpan> + Clone + 'a) {
+    let (vms, host_scoped) = match target {
+        Target::Vm(vm) => (fleet.vm(vm).map(|v| std::slice::from_ref(&v.id)).unwrap_or(&[]), false),
+        Target::Nc(nc) => (fleet.vms_on(nc), true),
+    };
+    (vms, spans.iter().filter(move |s| !(host_scoped && is_host_only(&s.name))))
+}
+
+/// Project a by-target span map onto the fleet's VMs through
+/// [`route_to_vms`]. Every VM gets an entry, damaged or not. Targets are
+/// visited in order — VMs before NCs — so each VM's own spans precede its
+/// host's and the result does not depend on hash order.
+fn propagate_nc_damage(
+    fleet: &Fleet,
+    by_target: &HashMap<Target, Vec<EventSpan>>,
+) -> HashMap<VmId, Vec<EventSpan>> {
+    let mut out: HashMap<VmId, Vec<EventSpan>> =
+        fleet.vms().iter().map(|vm| (vm.id, Vec::new())).collect();
+    let mut targets: Vec<(&Target, &Vec<EventSpan>)> = by_target.iter().collect();
+    targets.sort_unstable_by_key(|(target, _)| **target);
+    for (target, spans) in targets {
+        let (vms, damage) = route_to_vms(fleet, *target, spans);
+        for vm in vms {
+            out.entry(*vm).or_default().extend(damage.clone().cloned());
+        }
     }
+    out
+}
+
+/// Algorithm 1 over every fleet VM, in fleet order.
+fn vm_rows(
+    fleet: &Fleet,
+    spans: &HashMap<VmId, Vec<EventSpan>>,
+    start: i64,
+    end: i64,
+) -> Result<Vec<VmCdi>> {
+    let period = ServicePeriod::new(start, end)?;
+    fleet.vms().iter().map(|vm| compute_vm_cdi(vm.id, &spans[&vm.id], period)).collect()
+}
+
+/// Event-level drill-down of one target's spans: one `(event name, CDI)`
+/// row per distinct name, in name order.
+pub fn event_rows(spans: &[EventSpan], period: ServicePeriod) -> Result<Vec<(String, f64)>> {
+    let mut names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+        .into_iter()
+        .map(|name| Ok((name.to_string(), event_level_cdi(spans, period, name)?)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdi_core::event::Category;
     use simfleet::faults::{FaultInjection, FaultKind, FaultTarget};
     use simfleet::{Fleet, FleetConfig};
 
@@ -575,22 +639,5 @@ mod tests {
         assert_eq!(strict, lenient);
         assert!(quarantined.is_empty());
         assert_eq!(report, RunReport::new(0, 0, 0));
-    }
-
-    #[test]
-    fn spans_for_vm_slices_one_target() {
-        let mut w = world();
-        w.inject(FaultInjection::new(
-            FaultKind::SlowIo { factor: 8.0 },
-            FaultTarget::Vm(2),
-            0,
-            10 * MIN,
-        ));
-        let p = DailyPipeline::default();
-        let events = p.events(&w, 0, HOUR);
-        let spans = p.spans_for_vm(&events, 2, HOUR).unwrap();
-        assert!(!spans.is_empty());
-        assert!(spans.iter().all(|s| s.category == Category::Performance));
-        assert!(p.spans_for_vm(&events, 3, HOUR).unwrap().is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Columnar tables with CSV and JSON-lines persistence — the MaxCompute
+//! Columnar tables with JSON and `cdipack` persistence — the MaxCompute
 //! stand-in.
 //!
 //! The CDI job writes two output tables (Section V): per-VM daily indicators
@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -335,59 +335,6 @@ impl Table {
 
     // --- persistence -------------------------------------------------------
 
-    /// Write as CSV with a header row (RFC-4180-style quoting).
-    pub fn to_csv(&self, path: &Path) -> Result<()> {
-        let mut w = BufWriter::new(fs::File::create(path)?);
-        let header: Vec<String> =
-            self.schema.iter().map(|(n, _)| csv_escape(n)).collect();
-        writeln!(w, "{}", header.join(","))?;
-        for r in self.rows() {
-            let cells: Vec<String> = r.iter().map(|v| csv_escape(&v.to_string())).collect();
-            writeln!(w, "{}", cells.join(","))?;
-        }
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Read a CSV written by [`Table::to_csv`], interpreting cells per the
-    /// given schema (the header must match the schema's column names).
-    pub fn from_csv(path: &Path, schema: Schema) -> Result<Table> {
-        let r = BufReader::new(fs::File::open(path)?);
-        let mut lines = r.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| SparkError::schema("empty CSV file"))??;
-        let names: Vec<String> = parse_csv_line(&header);
-        let expected: Vec<String> = schema.iter().map(|(n, _)| n.to_string()).collect();
-        if names != expected {
-            return Err(SparkError::schema(format!(
-                "CSV header {names:?} does not match schema {expected:?}"
-            )));
-        }
-        let mut table = Table::new(schema);
-        for line in lines {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let cells = parse_csv_line(&line);
-            if cells.len() != table.schema.len() {
-                return Err(SparkError::schema(format!(
-                    "CSV row has {} cells, expected {}",
-                    cells.len(),
-                    table.schema.len()
-                )));
-            }
-            let mut row = Row::with_capacity(cells.len());
-            for (i, cell) in cells.into_iter().enumerate() {
-                let (_, t) = table.schema.field(i);
-                row.push(parse_cell(&cell, t)?);
-            }
-            table.push_row(row)?;
-        }
-        Ok(table)
-    }
-
     /// Write as JSON (schema + columns), full fidelity.
     pub fn to_json(&self, path: &Path) -> Result<()> {
         let w = BufWriter::new(fs::File::create(path)?);
@@ -667,52 +614,6 @@ impl PackedTable {
     }
 }
 
-fn parse_cell(cell: &str, t: ColumnType) -> Result<Value> {
-    match t {
-        ColumnType::Int => cell
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| SparkError::schema(format!("bad int '{cell}': {e}"))),
-        ColumnType::Float => cell
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|e| SparkError::schema(format!("bad float '{cell}': {e}"))),
-        ColumnType::Str => Ok(Value::Str(cell.to_string())),
-    }
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-fn parse_csv_line(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => out.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
-        }
-    }
-    out.push(cur);
-    out
-}
-
 /// A directory of named tables. Two on-disk dialects coexist: JSON
 /// (`{name}.json`, human-greppable) and `cdipack` (`{name}.cdp`, the
 /// compact binary columnar format). [`Catalog::load`] resolves either.
@@ -863,46 +764,6 @@ mod tests {
         // schema's name-uniqueness rule.
         assert!(t.select(&["nope"]).is_err());
         assert!(t.select(&["vm", "vm"]).is_err());
-    }
-
-    #[test]
-    fn csv_round_trip_with_quoting() {
-        let dir = std::env::temp_dir().join(format!("minispark-csv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut t = sample_table();
-        t.push_row(vec![
-            Value::Int(4),
-            Value::Float(0.5),
-            Value::Str("has,comma \"and\" quotes\nand newline".into()),
-        ])
-        .unwrap();
-        let path = dir.join("t.csv");
-        // Newlines inside cells are not supported by the line-based reader;
-        // write a version without the newline for the round-trip check.
-        let t2 = t.filter(|r| !matches!(&r[2], Value::Str(s) if s.contains('\n')));
-        t2.to_csv(&path).unwrap();
-        let back = Table::from_csv(&path, sample_schema()).unwrap();
-        assert_eq!(back, t2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn csv_escape_and_parse_inverse() {
-        for s in ["plain", "with,comma", "with\"quote", "\"wrapped\"", ""] {
-            let line = csv_escape(s);
-            assert_eq!(parse_csv_line(&line), vec![s.to_string()]);
-        }
-    }
-
-    #[test]
-    fn csv_header_mismatch_rejected() {
-        let dir = std::env::temp_dir().join(format!("minispark-csv2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        sample_table().to_csv(&path).unwrap();
-        let other = Schema::new(vec![("x", ColumnType::Int)]).unwrap();
-        assert!(Table::from_csv(&path, other).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //! (the per-tick differential of the CDI). Two independent builders
 //! produce it:
 //!
-//! - [`batch_table`] — the offline path: derive all spans up front, fan NC
-//!   damage out to hosted VMs exactly like the daily job, then drain three
-//!   [`CdiAccumulator`]s per VM tick by tick.
+//! - [`batch_table`] — the offline path: take the pipeline's per-VM spans,
+//!   then drain three [`CdiAccumulator`]s per VM tick by tick.
 //! - [`live_table`] — the serving path: replay the
 //!   [`LiveFeed`](cloudbot::feed::LiveFeed) through a sharded
 //!   [`CdiService`] and recover each tick's integral from the watermark
 //!   deltas of [`CdiService::vm_row`].
+//!
+//! Both paths route NC damage through the one routing function,
+//! [`cloudbot::pipeline::route_to_vms`]: an NC's spans damage every VM it
+//! hosts except host-only telemetry
+//! ([`cdi_core::catalog::is_host_only`]). Neither restates that rule.
 //!
 //! The two are the batch/live parity pair: `tests/serve_parity.rs` asserts
 //! they agree within 1e-9 on every cell, and the determinism proptests
@@ -21,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use cdi_core::error::Result;
-use cdi_core::event::{Category, EventSpan};
+use cdi_core::event::Category;
 use cdi_core::num::ms_f64;
 use cdi_core::streaming::CdiAccumulator;
 use cdi_serve::{CdiService, ServeConfig};
@@ -87,29 +91,19 @@ impl TickTable {
     }
 }
 
-/// The batch path: all spans derived up front (lenient, matching the
-/// feed's derivation), NC damage fanned out to hosted VMs with host-only
-/// telemetry excluded, then three accumulators per VM drained tick by
-/// tick.
+/// The batch path: the pipeline's lenient per-VM spans
+/// ([`DailyPipeline::vm_spans_lenient`], matching the feed's derivation and
+/// the daily job's NC→VM routing), then three accumulators per VM drained
+/// tick by tick.
 pub fn batch_table(
     pipeline: &DailyPipeline,
     scenario: &Scenario,
     events: &[cdi_core::event::RawEvent],
 ) -> Result<TickTable> {
-    let world = &scenario.world;
-    let (by_target, _quarantined) = pipeline.spans_by_target_lenient(events, scenario.end);
-    let empty: Vec<EventSpan> = Vec::new();
+    let (vm_spans, _quarantined) =
+        pipeline.vm_spans_lenient(&scenario.world, events, scenario.end);
     let mut rows: BTreeMap<VmId, Vec<[f64; 3]>> = BTreeMap::new();
-    for vm in world.fleet.vms() {
-        let mut spans: Vec<EventSpan> = by_target
-            .get(&cdi_core::event::Target::Vm(vm.id))
-            .unwrap_or(&empty)
-            .clone();
-        if let Some(nc_spans) = by_target.get(&cdi_core::event::Target::Nc(vm.nc)) {
-            spans.extend(
-                nc_spans.iter().filter(|s| s.name != "inspect_cpu_power_tdp").cloned(),
-            );
-        }
+    for (vm, spans) in vm_spans {
         let mut accs = [
             CdiAccumulator::new(scenario.start),
             CdiAccumulator::new(scenario.start),
@@ -133,7 +127,7 @@ pub fn batch_table(
             row.push(cell);
             t = hi;
         }
-        rows.insert(vm.id, row);
+        rows.insert(vm, row);
     }
     Ok(TickTable { start: scenario.start, tick_ms: scenario.tick_ms, rows })
 }

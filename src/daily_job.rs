@@ -8,7 +8,15 @@
 //! [`minispark::Dataset`]: events are keyed by target, shuffled, periods
 //! and weights are derived per target partition, and per-VM rows come out
 //! the other end. An integration test asserts the dataflow's rows equal the
-//! serial `cloudbot::pipeline::DailyPipeline` rows exactly.
+//! serial `cloudbot::pipeline::DailyPipeline` rows bit for bit.
+//!
+//! The dataflow restates none of the serial pipeline's steps; its tasks
+//! call them. Stage 2 runs [`DailyPipeline::target_spans_lenient`] per
+//! target. Stage 3 `flat_map`s each target through
+//! [`cloudbot::pipeline::route_to_vms`] with the fleet broadcast, so an
+//! NC's spans reach its hosted VMs through the fleet's NC→VM index, minus
+//! host-only telemetry ([`cdi_core::catalog::is_host_only`]). The event
+//! table runs [`cloudbot::pipeline::event_rows`] per target.
 //!
 //! Fault tolerance mirrors the production job: partition tasks run under
 //! panic isolation with a bounded retry budget
@@ -23,9 +31,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cdi_core::event::{EventSpan, RawEvent, Target};
-use cdi_core::indicator::{compute_vm_cdi, event_level_cdi, ServicePeriod, VmCdi};
-use cdi_core::quarantine::{assign_weights_lenient, derive_periods_lenient, QuarantinedEvent};
-use cloudbot::pipeline::{DailyPipeline, RunReport};
+use cdi_core::indicator::{compute_vm_cdi, ServicePeriod, VmCdi};
+use cdi_core::quarantine::QuarantinedEvent;
+use cloudbot::pipeline::{event_rows, route_to_vms, DailyPipeline, RunReport};
 use minispark::exec::RetryPolicy;
 use minispark::store::{ColumnType, Schema, Table, Value};
 use minispark::{Dataset, ExecContext};
@@ -88,13 +96,10 @@ pub fn run(
     let events = pipeline.events(world, start, end);
     let period = ServicePeriod::new(start, end)?;
 
-    // Broadcast variables (in Spark's sense): catalog, weights, and the
-    // placement map every task needs.
-    let catalog = Arc::new(pipeline.catalog.clone());
-    let weights = Arc::new(pipeline.weights.clone());
-    let policy = pipeline.policy;
-    let nc_of_vm: Arc<HashMap<u64, u64>> =
-        Arc::new(world.fleet.vms().iter().map(|v| (v.id, v.nc)).collect());
+    // Broadcast variables (in Spark's sense): the pipeline configuration
+    // (catalog, weights, policy) and the fleet with its NC→VM index.
+    let steps = Arc::new(pipeline.clone());
+    let fleet = Arc::new(world.fleet.clone());
 
     // Stage 1 (wide): key events by target and shuffle so each target's
     // events land in one partition.
@@ -102,47 +107,28 @@ pub fn run(
     let by_target = dataset.key_by(|e: &RawEvent| e.target).group_by_key(config.partitions)?;
 
     // Stage 2 (narrow): per target, derive periods and weights → spans,
-    // diverting malformed events to the quarantine side-channel. Cached,
-    // because the span flow, the quarantine flow, and the event-level table
-    // all consume it.
-    let cat = Arc::clone(&catalog);
-    let wts = Arc::clone(&weights);
+    // diverting malformed events to the quarantine side-channel — the
+    // serial pipeline's own per-target step. Cached, because the span
+    // flow, the quarantine flow, and the event-level table all consume it.
     type Derived = (Target, Vec<EventSpan>, Vec<QuarantinedEvent>);
     let derived: Dataset<Derived> = by_target
         .map(move |(target, events)| {
-            let outcome = derive_periods_lenient(&events, &cat, end, policy);
-            let (spans, weight_bad) = assign_weights_lenient(&wts, &outcome.periods);
-            let mut quarantined = outcome.quarantined;
-            quarantined.extend(weight_bad);
+            let (spans, quarantined) = steps.target_spans_lenient(&events, end);
             (target, spans, quarantined)
         })
         .cache();
 
-    // Stage 3: NC spans must propagate onto hosted VMs, which needs
-    // cross-target traffic — a second shuffle keyed by the *final* VM.
-    let nc_map = Arc::clone(&nc_of_vm);
-    let routed: Dataset<(u64, Vec<EventSpan>)> =
-        derived.flat_map(move |(target, spans, _)| {
-            match target {
-                Target::Vm(vm) => vec![(vm, spans)],
-                Target::Nc(nc) => {
-                    // Host-only telemetry (TDP inspection) stays at NC scope.
-                    let vm_damage: Vec<EventSpan> = spans
-                        .iter()
-                        .filter(|s| s.name != "inspect_cpu_power_tdp")
-                        .cloned()
-                        .collect();
-                    if vm_damage.is_empty() {
-                        return Vec::new();
-                    }
-                    nc_map
-                        .iter()
-                        .filter(|(_, &host)| host == nc)
-                        .map(|(&vm, _)| (vm, vm_damage.clone()))
-                        .collect()
-                }
-            }
-        });
+    // Stage 3: route each target's spans to the VMs they damage (NC spans
+    // fan out through the fleet's NC→VM index), then a second shuffle
+    // keyed by the *final* VM.
+    let routed: Dataset<(u64, Vec<EventSpan>)> = derived.flat_map(move |(target, spans, _)| {
+        let (vms, damage) = route_to_vms(&fleet, target, &spans);
+        let damage: Vec<EventSpan> = damage.cloned().collect();
+        if damage.is_empty() {
+            return Vec::new();
+        }
+        vms.iter().map(|&vm| (vm, damage.clone())).collect()
+    });
     let merged = routed.reduce_by_key(config.partitions, |mut a, mut b| {
         a.append(&mut b);
         a
@@ -204,15 +190,10 @@ pub fn run(
     // served from the same cached derivation — no second extraction pass.
     let mut event_rows: Vec<(String, String, f64)> = derived
         .flat_map(move |(target, spans, _)| {
-            let mut names: Vec<String> = spans.iter().map(|s| s.name.clone()).collect();
-            names.sort_unstable();
-            names.dedup();
-            names
+            event_rows(&spans, period)
+                .expect("validated spans")
                 .into_iter()
-                .map(|name| {
-                    let q = event_level_cdi(&spans, period, &name).expect("validated spans");
-                    (target.to_string(), name, q)
-                })
+                .map(|(name, q)| (target.to_string(), name, q))
                 .collect::<Vec<_>>()
         })
         .try_collect(&ctx)?;
@@ -311,9 +292,10 @@ mod tests {
         assert_eq!(job.rows.len(), serial.len());
         for (a, b) in job.rows.iter().zip(&serial) {
             assert_eq!(a.vm, b.vm);
-            assert!((a.unavailability - b.unavailability).abs() < 1e-12, "{a:?} vs {b:?}");
-            assert!((a.performance - b.performance).abs() < 1e-12, "{a:?} vs {b:?}");
-            assert!((a.control_plane - b.control_plane).abs() < 1e-12, "{a:?} vs {b:?}");
+            assert_eq!(a.service_time, b.service_time);
+            assert_eq!(a.unavailability.to_bits(), b.unavailability.to_bits(), "{a:?} vs {b:?}");
+            assert_eq!(a.performance.to_bits(), b.performance.to_bits(), "{a:?} vs {b:?}");
+            assert_eq!(a.control_plane.to_bits(), b.control_plane.to_bits(), "{a:?} vs {b:?}");
         }
     }
 

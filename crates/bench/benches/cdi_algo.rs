@@ -4,13 +4,18 @@
 //! The paper reports ~500 s of core CDI computation for a fleet-day on 800
 //! cores; this bench gives the single-core events/s of both formulations so
 //! the DESIGN.md ablation has concrete numbers.
+//!
+//! Also measured here: the live service's k-way top-K merge
+//! (`cdi_serve::merge_top_k`) in isolation, the step that turns per-shard
+//! CDI rankings into one answer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use cdi_core::event::{Category, EventSpan};
+use cdi_core::event::{Category, EventSpan, Target};
 use cdi_core::indicator::{cdi, cdi_naive, ServicePeriod};
 use cdi_core::time::{minutes, DAY_MS};
+use cdi_serve::merge_top_k;
 
 /// Deterministic pseudo-random spans over one day.
 fn make_spans(n: usize) -> Vec<EventSpan> {
@@ -63,5 +68,22 @@ fn bench_cdi(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cdi);
+fn bench_merge_top_k(c: &mut Criterion) {
+    // 8 shard lists of 1024 candidates each, k = 64.
+    let lists: Vec<Vec<(Target, f64)>> = (0..8u64)
+        .map(|s| {
+            (0..1024u64)
+                .map(|i| (Target::Vm(s * 10_000 + i), 1.0 / (1.0 + (s * 1024 + i) as f64)))
+                .collect()
+        })
+        .collect();
+    let mut group = c.benchmark_group("cdi-serve/merge_top_k");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("k64_8x1024", |b| {
+        b.iter(|| merge_top_k(black_box(&lists), 64));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_cdi, bench_merge_top_k);
 criterion_main!(benches);

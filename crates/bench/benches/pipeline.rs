@@ -1,6 +1,6 @@
 //! minispark engine benchmarks: shuffle-heavy aggregation across thread
-//! counts (the stand-in for the paper's 100-executor Spark scaling) and the
-//! BI drill-down query.
+//! counts (the stand-in for the paper's 100-executor Spark scaling), the
+//! global sort, cached re-reads, and the BI drill-down query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -24,7 +24,48 @@ fn bench_engine(c: &mut Criterion) {
                     let ctx = ExecContext::with_threads(threads);
                     let d = Dataset::from_vec(pairs.clone(), 16).unwrap();
                     let r = d.reduce_by_key(16, |a, b| a + b).unwrap();
-                    black_box(r.count(&ctx))
+                    black_box(r.try_count(&ctx).unwrap())
+                })
+            },
+        );
+    }
+    group.finish();
+
+    // group_by_key over the same pairs: stresses the reduce-side concat.
+    let mut group = c.benchmark_group("minispark/group_by_key_1M");
+    group.throughput(Throughput::Elements(pairs.len() as u64));
+    group.sample_size(10);
+    for &threads in &[1usize, 8] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let ctx = ExecContext::with_threads(threads);
+                    let d = Dataset::from_vec(pairs.clone(), 16).unwrap();
+                    let r = d.group_by_key(16).unwrap();
+                    black_box(r.try_count(&ctx).unwrap())
+                })
+            },
+        );
+    }
+    group.finish();
+
+    // Global sort of 1M u64s: exercises the SortPlan merge path.
+    let nums: Vec<u64> = (0..1_000_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
+    let mut group = c.benchmark_group("minispark/sort_by_key_1M");
+    group.throughput(Throughput::Elements(nums.len() as u64));
+    group.sample_size(10);
+    for &threads in &[1usize, 8] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let ctx = ExecContext::with_threads(threads);
+                    let d = Dataset::from_vec(nums.clone(), 16).unwrap();
+                    let r = d.sort_by_key(16, |x| *x).unwrap();
+                    black_box(r.try_count(&ctx).unwrap())
                 })
             },
         );
@@ -40,7 +81,26 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let ctx = ExecContext::with_threads(4);
             let d = Dataset::from_vec(data.clone(), 16).unwrap();
-            black_box(d.map(|x| x * 3).filter(|x| x % 7 == 0).count(&ctx))
+            black_box(d.map(|x| x * 3).filter(|x| x % 7 == 0).try_count(&ctx).unwrap())
+        })
+    });
+    group.finish();
+
+    // Cached dataset populated once, then re-read eight times at 8 threads:
+    // the path Arc-shared partitions turn from a deep copy into a pointer
+    // bump.
+    let seq: Vec<u64> = (0..1_000_000u64).collect();
+    let mut group = c.benchmark_group("minispark/cached_reread_1M");
+    group.throughput(Throughput::Elements(seq.len() as u64));
+    group.sample_size(10);
+    group.bench_function("populate_then_8_rereads", |b| {
+        b.iter(|| {
+            let ctx = ExecContext::with_threads(8);
+            let d = Dataset::from_vec(seq.clone(), 16).unwrap().cache();
+            black_box(d.try_count(&ctx).unwrap());
+            for _ in 0..8 {
+                black_box(d.try_count(&ctx).unwrap());
+            }
         })
     });
     group.finish();

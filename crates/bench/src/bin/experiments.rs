@@ -15,8 +15,6 @@
 //!   table5  A/B hypothesis tests (Case 8)           [--trials N, default 120]
 //!   fig11   per-action Performance Indicator distributions
 //!   all     everything above
-//!   bench   engine throughput probes (JSON lines)   [--iters N, default 3]
-//!   bench-serve  cdi-serve ingest/query probes      [--iters N] [--quick]
 //!   drill   cdi-serve chaos drill → BENCH_PR6.json  [--seed N] [--quick]
 //!   scenarios  detector scoring matrix → BENCH_PR8.json  [--seed N] [--quick]
 //!   diagnose  outage-diag gates → BENCH_PR10.json  [--seed N] [--quick]
@@ -35,19 +33,6 @@ fn main() {
     let run = |name: &str| cmd == "all" || cmd == name || (cmd == "fig11" && name == "table5");
     let mut ran_any = false;
 
-    // `bench` is deliberately NOT part of `all`: its output is wall-clock
-    // timing, which must never land in the byte-stable `results/` files.
-    if cmd == "bench" {
-        let iters = flag_value(&args, "--iters").unwrap_or(3) as usize;
-        run_bench(iters.max(1));
-        return;
-    }
-    if cmd == "bench-serve" {
-        let iters = flag_value(&args, "--iters").unwrap_or(3) as usize;
-        let quick = args.iter().any(|a| a == "--quick");
-        run_bench_serve(iters.max(1), quick);
-        return;
-    }
     if cmd == "drill" {
         let quick = args.iter().any(|a| a == "--quick");
         run_drill(seed, quick);
@@ -142,32 +127,6 @@ fn save_json(name: &str, value: &impl serde::Serialize) {
 
 fn heading(title: &str) {
     println!("\n==== {title} ====");
-}
-
-fn run_bench(iters: usize) {
-    eprintln!("(engine throughput probes, best of {iters} timed iterations each)");
-    let records = bench::perfbench::run(iters);
-    for r in &records {
-        // One JSON object per line so shell pipelines can pick workloads out.
-        match serde_json::to_string(r) {
-            Ok(line) => println!("{line}"),
-            Err(e) => eprintln!("bench record failed to serialize: {e}"),
-        }
-    }
-}
-
-fn run_bench_serve(iters: usize, quick: bool) {
-    eprintln!(
-        "(cdi-serve probes, best of {iters} timed iterations{})",
-        if quick { ", quick mode" } else { "" }
-    );
-    let records = bench::servebench::run(iters, quick);
-    for r in &records {
-        match serde_json::to_string(r) {
-            Ok(line) => println!("{line}"),
-            Err(e) => eprintln!("bench record failed to serialize: {e}"),
-        }
-    }
 }
 
 fn run_drill(seed: u64, quick: bool) {

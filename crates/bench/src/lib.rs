@@ -14,10 +14,8 @@ pub mod codecbench;
 pub mod diagbench;
 pub mod drill;
 pub mod experiments;
-pub mod perfbench;
 pub mod report;
 pub mod scenarios;
-pub mod servebench;
 
 use cloudbot::pipeline::DailyPipeline;
 

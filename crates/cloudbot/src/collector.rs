@@ -110,19 +110,6 @@ impl Collector {
         }
         out
     }
-
-    /// Collect only one VM's metric series (used by the statistical
-    /// extractor, which works per series).
-    pub fn collect_vm_series(
-        &self,
-        world: &SimWorld,
-        vm: VmId,
-        metric: Metric,
-        start: i64,
-        end: i64,
-    ) -> Vec<(i64, f64)> {
-        world.vm_metric_series(vm, metric, start, end, self.vm_step)
-    }
 }
 
 #[cfg(test)]
@@ -182,14 +169,5 @@ mod tests {
         ));
         let data = Collector::default().collect(&world, 0, HOUR);
         assert!(!data.logs.is_empty());
-    }
-
-    #[test]
-    fn series_helper_matches_world() {
-        let world = small_world();
-        let c = Collector::default();
-        let s = c.collect_vm_series(&world, 0, Metric::ReadLatencyMs, 0, HOUR);
-        assert_eq!(s.len(), 60);
-        assert_eq!(s, world.vm_metric_series(0, Metric::ReadLatencyMs, 0, HOUR, 60_000));
     }
 }

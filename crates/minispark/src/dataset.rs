@@ -489,29 +489,11 @@ impl<T: Data> Dataset<T> {
         Ok(out)
     }
 
-    /// Action: gather all elements (partition order preserved). Panics if a
-    /// task exhausts its retries; use [`Dataset::try_collect`] to handle
-    /// stage failure gracefully.
-    pub fn collect(&self, ctx: &ExecContext) -> Vec<T> {
-        match self.try_collect(ctx) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Action: count elements, surfacing a poisoned task as an error.
     pub fn try_count(&self, ctx: &ExecContext) -> Result<usize> {
         let n = self.plan.num_partitions();
         let plan = &self.plan;
         Ok(ctx.try_parallel_indexed(n, |p| plan.compute(ctx, p).len())?.into_iter().sum())
-    }
-
-    /// Action: count elements. Panics if a task exhausts its retries.
-    pub fn count(&self, ctx: &ExecContext) -> usize {
-        match self.try_count(ctx) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Action: fold all elements with a per-partition accumulator and a
@@ -533,21 +515,6 @@ impl<T: Data> Dataset<T> {
                 .fold(init.clone(), &fold)
         })?;
         Ok(partials.into_iter().fold(init, merge))
-    }
-
-    /// Action: fold all elements with a per-partition accumulator and a
-    /// merge step. Panics if a task exhausts its retries.
-    pub fn fold<A: Data>(
-        &self,
-        ctx: &ExecContext,
-        init: A,
-        fold: impl Fn(A, T) -> A + Send + Sync,
-        merge: impl Fn(A, A) -> A,
-    ) -> A {
-        match self.try_fold(ctx, init, fold, merge) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 
@@ -687,12 +654,6 @@ impl<K: Data + Hash + Eq, V: Data> Dataset<(K, V)> {
     pub fn try_collect_map(&self, ctx: &ExecContext) -> Result<HashMap<K, V>> {
         Ok(self.try_collect(ctx)?.into_iter().collect())
     }
-
-    /// Action: collect into a `HashMap` (last value wins on duplicate keys).
-    /// Panics if a task exhausts its retries.
-    pub fn collect_map(&self, ctx: &ExecContext) -> HashMap<K, V> {
-        self.collect(ctx).into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -707,17 +668,17 @@ mod tests {
     fn from_vec_partitioning() {
         let d = Dataset::from_vec((0..10).collect(), 3).unwrap();
         assert_eq!(d.num_partitions(), 3);
-        assert_eq!(d.collect(&ctx()), (0..10).collect::<Vec<_>>());
+        assert_eq!(d.try_collect(&ctx()).unwrap(), (0..10).collect::<Vec<_>>());
         assert!(Dataset::<i32>::from_vec(vec![], 0).is_err());
     }
 
     #[test]
     fn empty_and_oversized_partitioning() {
         let d = Dataset::<i32>::from_vec(vec![], 4).unwrap();
-        assert_eq!(d.count(&ctx()), 0);
+        assert_eq!(d.try_count(&ctx()).unwrap(), 0);
         let d = Dataset::from_vec(vec![1, 2], 8).unwrap();
         assert_eq!(d.num_partitions(), 8);
-        assert_eq!(d.collect(&ctx()), vec![1, 2]);
+        assert_eq!(d.try_collect(&ctx()).unwrap(), vec![1, 2]);
     }
 
     #[test]
@@ -727,7 +688,7 @@ mod tests {
             .map(|x| x * 2)
             .filter(|x| x % 3 == 0)
             .flat_map(|x| vec![x, -x])
-            .collect(&ctx());
+            .try_collect(&ctx()).unwrap();
         let expected: Vec<i64> = (1..=100i64)
             .map(|x| x * 2)
             .filter(|x| x % 3 == 0)
@@ -742,14 +703,14 @@ mod tests {
         let b = Dataset::from_vec(vec![3, 4], 2).unwrap();
         let u = a.union(&b);
         assert_eq!(u.num_partitions(), 3);
-        assert_eq!(u.collect(&ctx()), vec![1, 2, 3, 4]);
+        assert_eq!(u.try_collect(&ctx()).unwrap(), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn count_and_fold() {
         let d = Dataset::from_vec((1..=100).collect::<Vec<i64>>(), 7).unwrap();
-        assert_eq!(d.count(&ctx()), 100);
-        let sum = d.fold(&ctx(), 0i64, |a, x| a + x, |a, b| a + b);
+        assert_eq!(d.try_count(&ctx()).unwrap(), 100);
+        let sum = d.try_fold(&ctx(), 0i64, |a, x| a + x, |a, b| a + b).unwrap();
         assert_eq!(sum, 5050);
     }
 
@@ -757,7 +718,7 @@ mod tests {
     fn group_by_key_collects_all_values() {
         let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i % 5, i)).collect();
         let d = Dataset::from_vec(pairs, 4).unwrap();
-        let grouped = d.group_by_key(3).unwrap().collect(&ctx());
+        let grouped = d.group_by_key(3).unwrap().try_collect(&ctx()).unwrap();
         assert_eq!(grouped.len(), 5);
         for (k, vs) in grouped {
             assert_eq!(vs.len(), 20, "key {k}");
@@ -769,7 +730,7 @@ mod tests {
     fn reduce_by_key_sums() {
         let pairs: Vec<(u32, u64)> = (0..1000u64).map(|i| ((i % 10) as u32, i)).collect();
         let d = Dataset::from_vec(pairs, 8).unwrap();
-        let reduced = d.reduce_by_key(4, |a, b| a + b).unwrap().collect_map(&ctx());
+        let reduced = d.reduce_by_key(4, |a, b| a + b).unwrap().try_collect_map(&ctx()).unwrap();
         assert_eq!(reduced.len(), 10);
         for (k, sum) in reduced {
             let expected: u64 = (0..1000u64).filter(|i| i % 10 == k as u64).sum();
@@ -783,7 +744,7 @@ mod tests {
         let d = Dataset::from_vec(pairs, 8).unwrap();
         let c = ctx();
         let reduced = d.reduce_by_key(4, |a, b| a + b).unwrap();
-        let _ = reduced.collect(&c);
+        let _ = reduced.try_collect(&c).unwrap();
         let m = c.metrics.snapshot();
         assert_eq!(m.shuffles, 1);
         // Without map-side combine 1000 records would cross the shuffle; with
@@ -796,7 +757,7 @@ mod tests {
         let left = Dataset::from_vec(vec![(1, "a"), (2, "b"), (3, "c"), (2, "B")], 2).unwrap();
         let right = Dataset::from_vec(vec![(2, 20), (3, 30), (4, 40), (2, 21)], 3).unwrap();
         let joined = left.join(&right, 4).unwrap();
-        let mut out = joined.collect(&ctx());
+        let mut out = joined.try_collect(&ctx()).unwrap();
         out.sort_by_key(|(k, (v, w))| (*k, v.to_string(), *w));
         assert_eq!(
             out,
@@ -816,14 +777,14 @@ mod tests {
         let d = Dataset::from_vec(data, 3).unwrap();
         let sorted = d.sort_by_key(4, |x| *x).unwrap();
         assert_eq!(sorted.num_partitions(), 4);
-        assert_eq!(sorted.collect(&ctx()), (0..10).collect::<Vec<_>>());
+        assert_eq!(sorted.try_collect(&ctx()).unwrap(), (0..10).collect::<Vec<_>>());
         assert!(d.sort_by_key(0, |x| *x).is_err());
     }
 
     #[test]
     fn distinct_removes_duplicates() {
         let d = Dataset::from_vec(vec![1, 2, 2, 3, 3, 3, 1], 3).unwrap();
-        let mut out = d.distinct(2).unwrap().collect(&ctx());
+        let mut out = d.distinct(2).unwrap().try_collect(&ctx()).unwrap();
         out.sort_unstable();
         assert_eq!(out, vec![1, 2, 3]);
     }
@@ -832,7 +793,7 @@ mod tests {
     fn key_by_attaches_keys() {
         let d = Dataset::from_vec(vec!["apple", "banana", "avocado"], 2).unwrap();
         let keyed = d.key_by(|s| s.as_bytes()[0]);
-        let grouped = keyed.group_by_key(2).unwrap().collect(&ctx());
+        let grouped = keyed.group_by_key(2).unwrap().try_collect(&ctx()).unwrap();
         let a_group = grouped.iter().find(|(k, _)| *k == b'a').unwrap();
         assert_eq!(a_group.1.len(), 2);
     }
@@ -843,8 +804,8 @@ mod tests {
         let d = Dataset::from_vec(pairs, 4).unwrap();
         let grouped = d.group_by_key(3).unwrap();
         let c = ctx();
-        let _ = grouped.count(&c);
-        let _ = grouped.collect(&c);
+        let _ = grouped.try_count(&c).unwrap();
+        let _ = grouped.try_collect(&c).unwrap();
         let m = c.metrics.snapshot();
         assert_eq!(m.shuffles, 1, "second action reuses the materialized shuffle");
     }
@@ -860,10 +821,10 @@ mod tests {
         });
         let cached = expensive.cache();
         let c = ctx();
-        let first = cached.collect(&c);
+        let first = cached.try_collect(&c).unwrap();
         let calls_after_first = CALLS.load(Ordering::Relaxed);
         assert_eq!(calls_after_first, 100);
-        let second = cached.collect(&c);
+        let second = cached.try_collect(&c).unwrap();
         assert_eq!(first, second);
         assert_eq!(
             CALLS.load(Ordering::Relaxed),
@@ -871,7 +832,7 @@ mod tests {
             "second pass must be served from the cache"
         );
         // Downstream transformations read the cache too.
-        assert_eq!(cached.filter(|x| *x >= 100).count(&c), 50);
+        assert_eq!(cached.filter(|x| *x >= 100).try_count(&c).unwrap(), 50);
         assert_eq!(CALLS.load(Ordering::Relaxed), calls_after_first);
     }
 
@@ -880,7 +841,7 @@ mod tests {
         let d = Dataset::from_vec((0..37).collect::<Vec<i64>>(), 5).unwrap();
         let cached = d.map(|x| x + 1).cache();
         assert_eq!(cached.num_partitions(), 5);
-        assert_eq!(cached.collect(&ctx()), (1..=37).collect::<Vec<_>>());
+        assert_eq!(cached.try_collect(&ctx()).unwrap(), (1..=37).collect::<Vec<_>>());
     }
 
     #[test]

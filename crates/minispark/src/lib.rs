@@ -10,6 +10,9 @@
 //!   wide transformations (group_by_key/reduce_by_key/join/sort) introduce a
 //!   hash shuffle that materializes once and is shared by downstream
 //!   consumers, mirroring Spark's stage split at shuffle boundaries.
+//!   Actions (`try_collect`, `try_count`, `try_fold`, `try_collect_map`)
+//!   return a `Result`: a task that exhausts its retries is a typed error,
+//!   never a panic.
 //! - [`partition`] — [`Partition<T>`]: the `Arc`-shared immutable row
 //!   vectors plans exchange. Materialized data (shuffles, sorts, caches,
 //!   sources) is pinned once and read everywhere by refcount bump; deep
@@ -24,9 +27,9 @@
 //!   what makes joins co-partition and committed results reproducible.
 //! - [`store`] — the storage substrates of the paper's Fig. 4: an
 //!   append-only time-indexed [`store::EventLog`] (Simple Log Service
-//!   stand-in), columnar [`store::Table`]s with CSV/JSON/`cdipack`
-//!   persistence (MaxCompute stand-in) and a versioned [`store::ConfigStore`]
-//!   (MySQL stand-in).
+//!   stand-in), columnar [`store::Table`]s with `cdipack` persistence
+//!   (MaxCompute stand-in) and a versioned [`store::ConfigStore`] (MySQL
+//!   stand-in).
 //! - [`pack`] — the `cdipack` binary encoding primitives (varints, zigzag
 //!   deltas, bit-exact floats, length-prefixed strings) shared by table
 //!   persistence here and the cdi-serve wire/snapshot codecs.

@@ -1,5 +1,4 @@
-//! Columnar tables with JSON and `cdipack` persistence — the MaxCompute
-//! stand-in.
+//! Columnar tables with `cdipack` persistence — the MaxCompute stand-in.
 //!
 //! The CDI job writes two output tables (Section V): per-VM daily indicators
 //! and per-(event, VM) drill-down rows. [`Table`] stores such data in typed
@@ -8,10 +7,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, SparkError};
 use crate::exec::ExecMetrics;
@@ -22,7 +19,7 @@ use crate::partition::Partition;
 pub const TABLE_PACK_MAGIC: &[u8] = b"MSPK\x01";
 
 /// Type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit signed integer.
     Int,
@@ -33,7 +30,7 @@ pub enum ColumnType {
 }
 
 /// A single cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer cell.
     Int(i64),
@@ -94,7 +91,7 @@ impl fmt::Display for Value {
 pub type Row = Vec<Value>;
 
 /// Ordered, named, typed fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     fields: Vec<(String, ColumnType)>,
 }
@@ -144,7 +141,7 @@ impl Schema {
 }
 
 /// A typed column of cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Integer column.
     Int(Vec<i64>),
@@ -214,7 +211,7 @@ impl Column {
 }
 
 /// A columnar table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
@@ -334,19 +331,6 @@ impl Table {
     }
 
     // --- persistence -------------------------------------------------------
-
-    /// Write as JSON (schema + columns), full fidelity.
-    pub fn to_json(&self, path: &Path) -> Result<()> {
-        let w = BufWriter::new(fs::File::create(path)?);
-        serde_json::to_writer(w, self)?;
-        Ok(())
-    }
-
-    /// Read a JSON table written by [`Table::to_json`].
-    pub fn from_json(path: &Path) -> Result<Table> {
-        let r = BufReader::new(fs::File::open(path)?);
-        Ok(serde_json::from_reader(r)?)
-    }
 
     /// Encode as `cdipack` bytes: a columnar binary layout with
     /// zigzag-delta integer columns, bit-exact float columns, and
@@ -614,9 +598,8 @@ impl PackedTable {
     }
 }
 
-/// A directory of named tables. Two on-disk dialects coexist: JSON
-/// (`{name}.json`, human-greppable) and `cdipack` (`{name}.cdp`, the
-/// compact binary columnar format). [`Catalog::load`] resolves either.
+/// A directory of named tables, one `cdipack` file (`{name}.cdp`) each.
+/// Files with any other extension are not tables and are ignored.
 #[derive(Debug)]
 pub struct Catalog {
     dir: PathBuf,
@@ -630,52 +613,36 @@ impl Catalog {
         Ok(Catalog { dir })
     }
 
-    /// Persist a table under a name as JSON (overwrites).
+    /// Persist a table under a name (overwrites).
     pub fn save(&self, name: &str, table: &Table) -> Result<()> {
-        table.to_json(&self.json_path_of(name))
-    }
-
-    /// Persist a table under a name as `cdipack` (overwrites).
-    pub fn save_packed(&self, name: &str, table: &Table) -> Result<()> {
         table.to_pack(&self.pack_path_of(name))
     }
 
-    /// Load a table by name: the JSON file wins if both dialects exist
-    /// (it is the older, authoritative artifact), otherwise the `cdipack`
-    /// file is decoded and materialized (free moves — the decode's
-    /// partitions have no other owner yet).
+    /// Load a table by name, decoded and materialized (free moves — the
+    /// decode's partitions have no other owner yet).
     pub fn load(&self, name: &str) -> Result<Table> {
-        let json = self.json_path_of(name);
-        if json.exists() {
-            return Table::from_json(&json);
-        }
         let metrics = ExecMetrics::default();
         Ok(Table::from_pack(&self.pack_path_of(name))?.into_table(&metrics))
     }
 
-    /// Load the `cdipack` dialect as a zero-copy [`PackedTable`].
+    /// Load a table as a zero-copy [`PackedTable`].
     pub fn load_packed(&self, name: &str) -> Result<PackedTable> {
         Table::from_pack(&self.pack_path_of(name))
     }
 
-    /// Names of the stored tables (either dialect), sorted and deduplicated.
+    /// Names of the stored tables, sorted.
     pub fn list(&self) -> Result<Vec<String>> {
         let mut names = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let p = entry?.path();
-            if p.extension().is_some_and(|e| e == "json" || e == "cdp") {
+            if p.extension().is_some_and(|e| e == "cdp") {
                 if let Some(stem) = p.file_stem().and_then(|s| s.to_str()) {
                     names.push(stem.to_string());
                 }
             }
         }
         names.sort();
-        names.dedup();
         Ok(names)
-    }
-
-    fn json_path_of(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.json"))
     }
 
     fn pack_path_of(&self, name: &str) -> PathBuf {
@@ -764,17 +731,6 @@ mod tests {
         // schema's name-uniqueness rule.
         assert!(t.select(&["nope"]).is_err());
         assert!(t.select(&["vm", "vm"]).is_err());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let dir = std::env::temp_dir().join(format!("minispark-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
-        let t = sample_table();
-        t.to_json(&path).unwrap();
-        assert_eq!(Table::from_json(&path).unwrap(), t);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

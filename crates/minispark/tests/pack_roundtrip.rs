@@ -75,7 +75,7 @@ fn packed_columns_are_shared_not_copied() {
     // A Dataset over the shared partition counts without cloning rows.
     let ctx = ExecContext::new();
     let ds = Dataset::from_partitions(vec![packed.floats("cdi").unwrap()]).unwrap();
-    assert_eq!(ds.count(&ctx), 100);
+    assert_eq!(ds.try_count(&ctx).unwrap(), 100);
     assert_eq!(ctx.metrics.snapshot().rows_cloned, 0, "plan reads are refcount bumps");
 
     // Materializing to an owned Table while the packed view is alive is a
@@ -119,25 +119,23 @@ fn corrupt_pack_bytes_are_typed_errors_never_panics() {
 }
 
 #[test]
-fn catalog_speaks_both_dialects() {
+fn catalog_speaks_cdipack_only() {
     let dir = std::env::temp_dir().join(format!("minispark-cdp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let cat = Catalog::open(&dir).unwrap();
     let t = wide_table(16);
-    cat.save("as_json", &t).unwrap();
-    cat.save_packed("as_pack", &t).unwrap();
-    assert_eq!(cat.list().unwrap(), vec!["as_json", "as_pack"]);
-    assert_eq!(cat.load("as_json").unwrap(), t);
-    assert_eq!(cat.load("as_pack").unwrap(), t);
-    let packed = cat.load_packed("as_pack").unwrap();
+    cat.save("vm_cdi", &t).unwrap();
+    assert!(dir.join("vm_cdi.cdp").exists());
+    let packed = cat.load_packed("vm_cdi").unwrap();
     assert_eq!(packed.len(), 16);
     assert!(cat.load("missing").is_err());
 
-    // cdipack is the compact dialect: the same table takes fewer bytes.
-    let json_len = std::fs::metadata(dir.join("as_json.json")).unwrap().len();
-    let pack_len = std::fs::metadata(dir.join("as_pack.cdp")).unwrap().len();
-    assert!(
-        pack_len * 2 < json_len,
-        "cdipack ({pack_len} B) should be well under half of JSON ({json_len} B)"
-    );
+    // A stray `{name}.json` beside the `.cdp` is not a table: it neither
+    // shadows the saved table on load nor shows up as a second name.
+    std::fs::write(dir.join("vm_cdi.json"), b"{\"junk\": true}").unwrap();
+    std::fs::write(dir.join("orphan.json"), b"[]").unwrap();
+    assert_eq!(cat.load("vm_cdi").unwrap(), t);
+    assert_eq!(cat.list().unwrap(), vec!["vm_cdi"]);
+    assert!(cat.load("orphan").is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }

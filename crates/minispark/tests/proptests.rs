@@ -19,7 +19,7 @@ proptest! {
         parts in 1usize..12
     ) {
         let d = Dataset::from_vec(data.clone(), parts).unwrap();
-        prop_assert_eq!(d.collect(&ctx()), data);
+        prop_assert_eq!(d.try_collect(&ctx()).unwrap(), data);
     }
 
     /// map/filter/flat_map chains agree with iterator equivalents.
@@ -33,7 +33,7 @@ proptest! {
             .map(|x| x.wrapping_mul(3))
             .filter(|x| x % 2 == 0)
             .flat_map(|x| [x, x + 1])
-            .collect(&ctx());
+            .try_collect(&ctx()).unwrap();
         let expected: Vec<i64> = data
             .iter()
             .map(|x| x.wrapping_mul(3))
@@ -50,8 +50,8 @@ proptest! {
         parts in 1usize..8
     ) {
         let d = Dataset::from_vec(data.clone(), parts).unwrap();
-        prop_assert_eq!(d.count(&ctx()), data.len());
-        let sum = d.fold(&ctx(), 0i64, |a, x| a + x, |a, b| a + b);
+        prop_assert_eq!(d.try_count(&ctx()).unwrap(), data.len());
+        let sum = d.try_fold(&ctx(), 0i64, |a, x| a + x, |a, b| a + b).unwrap();
         prop_assert_eq!(sum, data.iter().sum::<i64>());
     }
 
@@ -63,7 +63,8 @@ proptest! {
         out_parts in 1usize..8
     ) {
         let d = Dataset::from_vec(pairs.clone(), parts).unwrap();
-        let got = d.reduce_by_key(out_parts, |a, b| a + b).unwrap().collect_map(&ctx());
+        let got =
+            d.reduce_by_key(out_parts, |a, b| a + b).unwrap().try_collect_map(&ctx()).unwrap();
         let mut expected: HashMap<u8, i64> = HashMap::new();
         for (k, v) in &pairs {
             *expected.entry(*k).or_insert(0) += v;
@@ -78,7 +79,8 @@ proptest! {
         parts in 1usize..6
     ) {
         let d = Dataset::from_vec(pairs.clone(), parts).unwrap();
-        let mut got: HashMap<u8, Vec<i64>> = d.group_by_key(3).unwrap().collect_map(&ctx());
+        let mut got: HashMap<u8, Vec<i64>> =
+            d.group_by_key(3).unwrap().try_collect_map(&ctx()).unwrap();
         for v in got.values_mut() {
             v.sort_unstable();
         }
@@ -101,7 +103,7 @@ proptest! {
     ) {
         let l = Dataset::from_vec(left.clone(), parts).unwrap();
         let r = Dataset::from_vec(right.clone(), parts).unwrap();
-        let mut got = l.join(&r, 4).unwrap().collect(&ctx());
+        let mut got = l.join(&r, 4).unwrap().try_collect(&ctx()).unwrap();
         got.sort_unstable();
         let mut expected: Vec<(u8, (i64, i64))> = Vec::new();
         for (lk, lv) in &left {
@@ -123,7 +125,7 @@ proptest! {
         out_parts in 1usize..8
     ) {
         let d = Dataset::from_vec(data.clone(), parts).unwrap();
-        let got = d.sort_by_key(out_parts, |x| *x).unwrap().collect(&ctx());
+        let got = d.sort_by_key(out_parts, |x| *x).unwrap().try_collect(&ctx()).unwrap();
         let mut expected = data;
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
@@ -140,7 +142,7 @@ proptest! {
     ) {
         let pairs: Vec<(u8, usize)> = keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
         let d = Dataset::from_vec(pairs.clone(), parts).unwrap();
-        let got = d.sort_by_key(out_parts, |&(k, _)| k).unwrap().collect(&ctx());
+        let got = d.sort_by_key(out_parts, |&(k, _)| k).unwrap().try_collect(&ctx()).unwrap();
         let mut expected = pairs;
         expected.sort_by_key(|&(k, _)| k); // std stable sort is the reference
         prop_assert_eq!(got, expected);
@@ -160,7 +162,7 @@ proptest! {
                 .unwrap()
                 .reduce_by_key(out_parts, |a, b| a.wrapping_add(b))
                 .unwrap()
-                .collect(&c)
+                .try_collect(&c).unwrap()
         };
         let serial = run(1);
         prop_assert_eq!(&run(4), &serial);
@@ -174,7 +176,7 @@ proptest! {
         parts in 1usize..6
     ) {
         let d = Dataset::from_vec(data.clone(), parts).unwrap();
-        let mut got = d.distinct(3).unwrap().collect(&ctx());
+        let mut got = d.distinct(3).unwrap().try_collect(&ctx()).unwrap();
         got.sort_unstable();
         let expected: Vec<i64> = data.iter().copied().collect::<BTreeSet<_>>().into_iter().collect();
         prop_assert_eq!(got, expected);
@@ -190,6 +192,6 @@ proptest! {
         let db = Dataset::from_vec(b.clone(), 2).unwrap();
         let mut expected = a;
         expected.extend(b);
-        prop_assert_eq!(da.union(&db).collect(&ctx()), expected);
+        prop_assert_eq!(da.union(&db).try_collect(&ctx()).unwrap(), expected);
     }
 }

@@ -12,8 +12,8 @@ use minispark::{Dataset, ExecContext};
 fn cached_source_count_is_zero_copy() {
     let ctx = ExecContext::with_threads(4);
     let d = Dataset::from_vec((0..10_000i64).collect(), 8).unwrap().cache();
-    assert_eq!(d.count(&ctx), 10_000);
-    assert_eq!(d.count(&ctx), 10_000);
+    assert_eq!(d.try_count(&ctx).unwrap(), 10_000);
+    assert_eq!(d.try_count(&ctx).unwrap(), 10_000);
     let m = ctx.metrics.snapshot();
     assert_eq!(m.rows_cloned, 0, "cache + count must be pure Arc bumps");
     assert_eq!(m.bytes_cloned, 0);
@@ -28,11 +28,11 @@ fn cached_shuffle_reread_does_not_reclone() {
     let pairs: Vec<(u64, i64)> = (0..10_000).map(|i| (i % 97, 1i64)).collect();
     let reduced = Dataset::from_vec(pairs, 8).unwrap().reduce_by_key(4, |a, b| a + b).unwrap();
 
-    assert_eq!(reduced.count(&ctx), 97);
+    assert_eq!(reduced.try_count(&ctx).unwrap(), 97);
     let after_first = ctx.metrics.snapshot().rows_cloned;
 
-    assert_eq!(reduced.count(&ctx), 97);
-    assert_eq!(reduced.count(&ctx), 97);
+    assert_eq!(reduced.try_count(&ctx).unwrap(), 97);
+    assert_eq!(reduced.try_count(&ctx).unwrap(), 97);
     let after_rereads = ctx.metrics.snapshot().rows_cloned;
     assert_eq!(
         after_rereads, after_first,
@@ -50,7 +50,7 @@ fn bytes_cloned_scales_with_row_width() {
         .cache();
     // collect() needs owned rows while the cache retains them: every row is
     // counted once as cloned.
-    assert_eq!(d.collect(&ctx).len(), 1_000);
+    assert_eq!(d.try_collect(&ctx).unwrap().len(), 1_000);
     let m = ctx.metrics.snapshot();
     assert_eq!(m.rows_cloned, 1_000);
     assert_eq!(m.bytes_cloned, 1_000 * std::mem::size_of::<(u64, u64)>() as u64);
@@ -69,7 +69,7 @@ fn wide_op_output_is_deterministic_across_contexts() {
             .unwrap()
             .reduce_by_key(5, |a, b| a + b)
             .unwrap()
-            .collect(&ctx)
+            .try_collect(&ctx).unwrap()
     };
     let one = run(1);
     assert_eq!(one, run(4));
@@ -88,7 +88,7 @@ fn shuffles_co_partition_matching_keys() {
             .reduce_by_key(6, |a, b| a + b)
             .unwrap()
             .map_partitions(|rows| vec![rows])
-            .collect(&ctx)
+            .try_collect(&ctx).unwrap()
     };
     let a = buckets((0..4_000).map(|i| (i % 53, 1i64)).collect(), 3);
     let b = buckets((0..900).map(|i| ((i * 7) % 53, -1i64)).collect(), 9);

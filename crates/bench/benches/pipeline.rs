@@ -1,6 +1,6 @@
 //! minispark engine benchmarks: shuffle-heavy aggregation across thread
-//! counts (the stand-in for the paper's 100-executor Spark scaling), the
-//! global sort, cached re-reads, and the BI drill-down query.
+//! counts (the stand-in for the paper's 100-executor Spark scaling), a
+//! narrow chain, cached re-reads, and the BI drill-down query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -44,27 +44,6 @@ fn bench_engine(c: &mut Criterion) {
                     let ctx = ExecContext::with_threads(threads);
                     let d = Dataset::from_vec(pairs.clone(), 16).unwrap();
                     let r = d.group_by_key(16).unwrap();
-                    black_box(r.try_count(&ctx).unwrap())
-                })
-            },
-        );
-    }
-    group.finish();
-
-    // Global sort of 1M u64s: exercises the SortPlan merge path.
-    let nums: Vec<u64> = (0..1_000_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
-    let mut group = c.benchmark_group("minispark/sort_by_key_1M");
-    group.throughput(Throughput::Elements(nums.len() as u64));
-    group.sample_size(10);
-    for &threads in &[1usize, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let ctx = ExecContext::with_threads(threads);
-                    let d = Dataset::from_vec(nums.clone(), 16).unwrap();
-                    let r = d.sort_by_key(16, |x| *x).unwrap();
                     black_box(r.try_count(&ctx).unwrap())
                 })
             },

@@ -21,15 +21,23 @@
 //!   bench-codec  cdipack codec gates → BENCH_PR9.json  [--iters N] [--quick] [--sizes-only]
 //! ```
 //!
-//! Each run also writes machine-readable JSON into `results/`.
+//! Each run also writes machine-readable JSON into `results/`. A bad flag
+//! value exits 2; an output file that cannot be written exits 1.
 
+use std::path::Path;
+
+use bench::cli::Flags;
 use bench::experiments::{fig2, fig5, fig6, fig8, fig9, golden, table5};
 use bench::report::{fmt, fmt_ratio, sparkline, table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let seed = flag_value(&args, "--seed").unwrap_or(20250) as u64;
+    let flags = Flags::parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let seed = flags.seed;
     let run = |name: &str| cmd == "all" || cmd == name || (cmd == "fig11" && name == "table5");
     let mut ran_any = false;
 
@@ -49,10 +57,9 @@ fn main() {
         return;
     }
     if cmd == "bench-codec" {
-        let iters = flag_value(&args, "--iters").unwrap_or(3) as usize;
         let quick = args.iter().any(|a| a == "--quick");
         let sizes_only = args.iter().any(|a| a == "--sizes-only");
-        run_bench_codec(iters.max(1), quick, sizes_only);
+        run_bench_codec(flags.iters.unwrap_or(3), quick, sizes_only);
         return;
     }
 
@@ -78,7 +85,7 @@ fn main() {
     }
     if run("fig6") {
         ran_any = true;
-        let days = flag_value(&args, "--days").unwrap_or(365) as usize;
+        let days = flags.days.unwrap_or(365);
         run_fig6(seed, days);
         if args.iter().any(|a| a == "--ablate") {
             run_fig6_ablation(seed, days);
@@ -86,8 +93,7 @@ fn main() {
     }
     if run("fig8") {
         ran_any = true;
-        let days = flag_value(&args, "--days").unwrap_or(40) as usize;
-        run_fig8(seed, days);
+        run_fig8(seed, flags.days.unwrap_or(40));
     }
     if run("fig9a") {
         ran_any = true;
@@ -99,8 +105,7 @@ fn main() {
     }
     if run("table5") {
         ran_any = true;
-        let trials = flag_value(&args, "--trials").unwrap_or(120) as usize;
-        run_table5(seed, trials, cmd == "fig11" || cmd == "all");
+        run_table5(seed, flags.trials.unwrap_or(120), cmd == "fig11" || cmd == "all");
     }
     if !ran_any {
         eprintln!("unknown subcommand '{cmd}'; see the doc comment for usage");
@@ -108,21 +113,35 @@ fn main() {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<i64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Print `msg` and exit 1: an output that was not written must not look
+/// like a successful run.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
-fn save_json(name: &str, value: &impl serde::Serialize) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if let Ok(json) = serde_json::to_string_pretty(value) {
-            let _ = std::fs::write(&path, json);
-        }
+/// Write `value` to `path` as pretty JSON followed by `suffix`, or exit 1.
+fn write_json(path: &Path, value: &impl serde::Serialize, suffix: &str) {
+    let json = serde_json::to_string_pretty(value)
+        .unwrap_or_else(|e| fail(format!("cannot serialize {}: {e}", path.display())));
+    if let Err(e) = std::fs::write(path, json + suffix) {
+        fail(format!("cannot write {}: {e}", path.display()));
     }
+}
+
+/// Write a `results/{name}.json` file.
+fn save_json(name: &str, value: &impl serde::Serialize) {
+    let dir = Path::new("results");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        fail(format!("cannot create {}: {e}", dir.display()));
+    }
+    write_json(&dir.join(format!("{name}.json")), value, "");
+}
+
+/// Write a top-level `BENCH_*.json` report (with a trailing newline).
+fn save_bench(file: &str, value: &impl serde::Serialize) {
+    write_json(Path::new(file), value, "\n");
+    println!("wrote {file}");
 }
 
 fn heading(title: &str) {
@@ -165,19 +184,7 @@ fn run_drill(seed: u64, quick: bool) {
         "autoscale: peak {} shards, settled at {}",
         report.autoscale.peak_shards, report.autoscale.final_shards
     );
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_PR6.json", json + "\n") {
-                eprintln!("cannot write BENCH_PR6.json: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote BENCH_PR6.json");
-        }
-        Err(e) => {
-            eprintln!("drill report failed to serialize: {e}");
-            std::process::exit(1);
-        }
-    }
+    save_bench("BENCH_PR6.json", &report);
     if !report.gate.passed {
         eprintln!("chaos agreement gate FAILED");
         std::process::exit(1);
@@ -222,19 +229,7 @@ fn run_scenarios(seed: u64, quick: bool) {
             &rows,
         )
     );
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_PR8.json", json + "\n") {
-                eprintln!("cannot write BENCH_PR8.json: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote BENCH_PR8.json");
-        }
-        Err(e) => {
-            eprintln!("scenario report failed to serialize: {e}");
-            std::process::exit(1);
-        }
-    }
+    save_bench("BENCH_PR8.json", &report);
     if report.passed() {
         println!("floor gate: PASS ({} floors)", report.floors.len());
     } else {
@@ -284,19 +279,7 @@ fn run_diagnose(seed: u64, quick: bool) {
     for note in &report.notes {
         println!("note: {note}");
     }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_PR10.json", json + "\n") {
-                eprintln!("cannot write BENCH_PR10.json: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote BENCH_PR10.json");
-        }
-        Err(e) => {
-            eprintln!("diagnosis report failed to serialize: {e}");
-            std::process::exit(1);
-        }
-    }
+    save_bench("BENCH_PR10.json", &report);
     if report.passed() {
         println!("diagnosis gate: PASS ({} floors + structural gates)", report.floors.len());
     } else {
@@ -353,19 +336,7 @@ fn run_bench_codec(iters: usize, quick: bool, sizes_only: bool) {
             }
         );
     }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_PR9.json", json + "\n") {
-                eprintln!("cannot write BENCH_PR9.json: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote BENCH_PR9.json");
-        }
-        Err(e) => {
-            eprintln!("codec report failed to serialize: {e}");
-            std::process::exit(1);
-        }
-    }
+    save_bench("BENCH_PR9.json", &report);
     if !report.pass {
         eprintln!("codec gate FAILED");
         std::process::exit(1);

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod codecbench;
 pub mod diagbench;
 pub mod drill;

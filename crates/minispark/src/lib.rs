@@ -7,24 +7,23 @@
 //!
 //! - [`dataset`] — lazy `Dataset<T>` plans: narrow transformations
 //!   (map/filter/flat_map) compose per partition without materialization;
-//!   wide transformations (group_by_key/reduce_by_key/join/sort) introduce a
-//!   hash shuffle that materializes once and is shared by downstream
-//!   consumers, mirroring Spark's stage split at shuffle boundaries.
-//!   Actions (`try_collect`, `try_count`, `try_fold`, `try_collect_map`)
-//!   return a `Result`: a task that exhausts its retries is a typed error,
-//!   never a panic.
+//!   wide transformations (group_by_key/reduce_by_key) introduce a hash
+//!   shuffle that materializes once and is shared by downstream consumers,
+//!   mirroring Spark's stage split at shuffle boundaries. Actions
+//!   (`try_collect`, `try_count`, `try_collect_map`) return a `Result`: a
+//!   task that exhausts its retries is a typed error, never a panic.
 //! - [`partition`] — [`Partition<T>`]: the `Arc`-shared immutable row
-//!   vectors plans exchange. Materialized data (shuffles, sorts, caches,
-//!   sources) is pinned once and read everywhere by refcount bump; deep
-//!   copies happen only when a consumer needs ownership of still-shared
-//!   rows, and are counted in the engine metrics.
+//!   vectors plans exchange. Materialized data (shuffles, caches, sources)
+//!   is pinned once and read everywhere by refcount bump; deep copies
+//!   happen only when a consumer needs ownership of still-shared rows, and
+//!   are counted in the engine metrics.
 //! - [`exec`] — the execution context: a scoped thread pool with
 //!   chunked work-stealing over partitions, panic-isolated tasks with
 //!   bounded retries (Spark's task re-execution), plus task/shuffle/copy
 //!   metrics.
 //! - [`hash`] — the fixed-seed [`hash::FixedState`] hasher: shuffle bucket
 //!   assignment is identical across plans, processes, and runs, which is
-//!   what makes joins co-partition and committed results reproducible.
+//!   what keeps committed results reproducible.
 //! - [`store`] — the storage substrates of the paper's Fig. 4: an
 //!   append-only time-indexed [`store::EventLog`] (Simple Log Service
 //!   stand-in), columnar [`store::Table`]s with `cdipack` persistence

@@ -1,9 +1,9 @@
 //! Shared, immutable partitions — the engine's zero-copy currency.
 //!
 //! Every plan node hands out a [`Partition<T>`]: an `Arc<Vec<T>>` wrapper.
-//! Materialized data (shuffle buckets, sort output, cache contents, source
-//! chunks) is built once and then *shared* — a downstream consumer clones
-//! the `Arc`, not the rows. The deep copy happens only at the moment a
+//! Materialized data (shuffle buckets, cache contents, source chunks) is
+//! built once and then *shared* — a downstream consumer clones the `Arc`,
+//! not the rows. The deep copy happens only at the moment a
 //! consumer genuinely needs owned rows while the partition is still shared
 //! ([`Partition::into_vec`]), and every such copy is counted in
 //! [`ExecMetrics::rows_cloned`](crate::exec::ExecMetrics) so regressions on
@@ -52,11 +52,6 @@ impl<T> Partition<T> {
     /// Wrap freshly materialized rows.
     pub fn new(rows: Vec<T>) -> Self {
         Partition { rows: Arc::new(rows) }
-    }
-
-    /// A partition with no rows.
-    pub fn empty() -> Self {
-        Partition { rows: Arc::new(Vec::new()) }
     }
 }
 
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn empty_and_deref() {
-        let p = Partition::<u8>::empty();
+        let p = Partition::<u8>::new(Vec::new());
         assert!(p.is_empty());
         let p = Partition::new(vec![5, 6]);
         assert_eq!(p.len(), 2);

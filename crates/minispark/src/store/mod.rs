@@ -12,7 +12,4 @@ mod table;
 
 pub use config::{ConfigStore, ConfigVersion};
 pub use event_log::EventLog;
-pub use table::{
-    Catalog, Column, ColumnArc, ColumnType, PackedTable, Row, Schema, Table, Value,
-    TABLE_PACK_MAGIC,
-};
+pub use table::{Catalog, Column, ColumnType, Row, Schema, Table, Value, TABLE_PACK_MAGIC};

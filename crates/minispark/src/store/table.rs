@@ -11,9 +11,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::{Result, SparkError};
-use crate::exec::ExecMetrics;
 use crate::pack::{PackError, PackReader, PackWriter};
-use crate::partition::Partition;
 
 /// Magic + version preamble of a `cdipack` table file.
 pub const TABLE_PACK_MAGIC: &[u8] = b"MSPK\x01";
@@ -298,38 +296,6 @@ impl Table {
         Ok(&self.columns[self.schema.index_of(name)?])
     }
 
-    /// New table with only the rows satisfying the predicate.
-    pub fn filter(&self, pred: impl Fn(&Row) -> bool) -> Table {
-        let mut out = Table::new(self.schema.clone());
-        for r in self.rows() {
-            if pred(&r) {
-                // `r` was read out of `self`, so it always matches the
-                // schema `out` was built from; a failed push is a bug, but
-                // dropping the row degrades better than panicking.
-                if out.push_row(r).is_err() {
-                    debug_assert!(false, "row from the same schema failed to push");
-                }
-            }
-        }
-        out
-    }
-
-    /// New table with only the named columns, in the given order. Copies
-    /// whole columns, never materializing intermediate rows.
-    pub fn select(&self, columns: &[&str]) -> Result<Table> {
-        let indices: Vec<usize> = columns
-            .iter()
-            .map(|c| self.schema.index_of(c))
-            .collect::<Result<_>>()?;
-        let fields: Vec<(&str, ColumnType)> =
-            indices.iter().map(|&i| self.schema.field(i)).collect();
-        Ok(Table {
-            schema: Schema::new(fields)?,
-            columns: indices.iter().map(|&i| self.columns[i].clone()).collect(),
-            rows: self.rows,
-        })
-    }
-
     // --- persistence -------------------------------------------------------
 
     /// Encode as `cdipack` bytes: a columnar binary layout with
@@ -396,15 +362,14 @@ impl Table {
         Ok(())
     }
 
-    /// Decode `cdipack` bytes into a [`PackedTable`] — each column is
-    /// materialized exactly once into a [`Partition`] arc; downstream
-    /// consumers read by refcount bump.
-    pub fn from_pack_bytes(bytes: &[u8]) -> Result<PackedTable> {
+    /// Decode `cdipack` bytes into a [`Table`]. Corrupt input is a typed
+    /// error, never a panic.
+    pub fn from_pack_bytes(bytes: &[u8]) -> Result<Table> {
         decode_pack(bytes).map_err(SparkError::from)
     }
 
     /// Read a `cdipack` file written by [`Table::to_pack`].
-    pub fn from_pack(path: &Path) -> Result<PackedTable> {
+    pub fn from_pack(path: &Path) -> Result<Table> {
         let bytes = fs::read(path)?;
         Table::from_pack_bytes(&bytes)
     }
@@ -427,7 +392,7 @@ fn type_from_tag(tag: u8) -> std::result::Result<ColumnType, PackError> {
     }
 }
 
-fn decode_pack(bytes: &[u8]) -> std::result::Result<PackedTable, PackError> {
+fn decode_pack(bytes: &[u8]) -> std::result::Result<Table, PackError> {
     let mut r = PackReader::new(bytes);
     r.expect_magic(TABLE_PACK_MAGIC)?;
     let ncols = r.take_len()?;
@@ -439,7 +404,7 @@ fn decode_pack(bytes: &[u8]) -> std::result::Result<PackedTable, PackError> {
     }
     let rows = usize::try_from(r.take_varint()?)
         .map_err(|_| PackError::Malformed("row count exceeds usize".into()))?;
-    let mut columns: Vec<ColumnArc> = Vec::with_capacity(fields.len());
+    let mut columns: Vec<Column> = Vec::with_capacity(fields.len());
     for (_, t) in &fields {
         // Pre-size against the bytes actually present so a corrupt row
         // count cannot drive a huge allocation before the reads fail.
@@ -452,14 +417,14 @@ fn decode_pack(bytes: &[u8]) -> std::result::Result<PackedTable, PackError> {
                     prev = prev.wrapping_add(r.take_zigzag()?);
                     c.push(prev);
                 }
-                columns.push(ColumnArc::Int(Partition::new(c)));
+                columns.push(Column::Int(c));
             }
             ColumnType::Float => {
                 let mut c: Vec<f64> = Vec::with_capacity(cap);
                 for _ in 0..rows {
                     c.push(r.take_f64()?);
                 }
-                columns.push(ColumnArc::Float(Partition::new(c)));
+                columns.push(Column::Float(c));
             }
             ColumnType::Str => {
                 let dict_len = r.take_len()?;
@@ -478,124 +443,14 @@ fn decode_pack(bytes: &[u8]) -> std::result::Result<PackedTable, PackError> {
                     })?;
                     c.push(s.clone());
                 }
-                columns.push(ColumnArc::Str(Partition::new(c)));
+                columns.push(Column::Str(c));
             }
         }
     }
     r.finish()?;
     let schema = Schema::new(fields.iter().map(|(n, t)| (n.as_str(), *t)).collect())
         .map_err(|e| PackError::Malformed(e.to_string()))?;
-    Ok(PackedTable { schema, columns, rows })
-}
-
-/// One decoded `cdipack` column, pinned in a [`Partition`] arc.
-#[derive(Debug, Clone)]
-pub enum ColumnArc {
-    /// Integer column.
-    Int(Partition<i64>),
-    /// Float column.
-    Float(Partition<f64>),
-    /// String column.
-    Str(Partition<String>),
-}
-
-impl ColumnArc {
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnArc::Int(p) => p.len(),
-            ColumnArc::Float(p) => p.len(),
-            ColumnArc::Str(p) => p.len(),
-        }
-    }
-
-    /// Whether the column has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A `cdipack`-decoded table whose columns live in shared [`Partition`]
-/// arcs: the decode materializes each column exactly once, and every
-/// consumer after that — [`PackedTable::floats`] handed to a
-/// [`crate::Dataset`], or a full [`PackedTable::to_table`] — either bumps a
-/// refcount or pays a clone that is accounted in
-/// [`ExecMetrics::rows_cloned`]/`bytes_cloned`.
-#[derive(Debug, Clone)]
-pub struct PackedTable {
-    schema: Schema,
-    columns: Vec<ColumnArc>,
-    rows: usize,
-}
-
-impl PackedTable {
-    /// The decoded schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Column arc by name (refcount view, no copy).
-    pub fn column(&self, name: &str) -> Result<&ColumnArc> {
-        Ok(&self.columns[self.schema.index_of(name)?])
-    }
-
-    /// Float column by name as a shared partition — an `Arc` bump, never a
-    /// row copy. Feed it to [`crate::Dataset::from_partitions`] to run
-    /// plans over the decoded bytes with zero additional materialization.
-    pub fn floats(&self, name: &str) -> Result<Partition<f64>> {
-        match self.column(name)? {
-            ColumnArc::Float(p) => Ok(p.clone()),
-            _ => Err(SparkError::schema(format!("column '{name}' is not a float column"))),
-        }
-    }
-
-    /// Integer column by name as a shared partition (`Arc` bump).
-    pub fn ints(&self, name: &str) -> Result<Partition<i64>> {
-        match self.column(name)? {
-            ColumnArc::Int(p) => Ok(p.clone()),
-            _ => Err(SparkError::schema(format!("column '{name}' is not an int column"))),
-        }
-    }
-
-    /// String column by name as a shared partition (`Arc` bump).
-    pub fn strs(&self, name: &str) -> Result<Partition<String>> {
-        match self.column(name)? {
-            ColumnArc::Str(p) => Ok(p.clone()),
-            _ => Err(SparkError::schema(format!("column '{name}' is not a string column"))),
-        }
-    }
-
-    /// Materialize an owned [`Table`], keeping this packed view alive: the
-    /// copies are real and show up in `metrics.rows_cloned`/`bytes_cloned`.
-    pub fn to_table(&self, metrics: &ExecMetrics) -> Table {
-        self.clone().into_table(metrics)
-    }
-
-    /// Convert into an owned [`Table`]. Columns nobody else holds are moved
-    /// out for free; shared columns are cloned with metric accounting —
-    /// the same ownership-transfer contract as [`Partition::into_vec`].
-    pub fn into_table(self, metrics: &ExecMetrics) -> Table {
-        let columns = self
-            .columns
-            .into_iter()
-            .map(|c| match c {
-                ColumnArc::Int(p) => Column::Int(p.into_vec(metrics)),
-                ColumnArc::Float(p) => Column::Float(p.into_vec(metrics)),
-                ColumnArc::Str(p) => Column::Str(p.into_vec(metrics)),
-            })
-            .collect();
-        Table { schema: self.schema, columns, rows: self.rows }
-    }
+    Ok(Table { schema, columns, rows })
 }
 
 /// A directory of named tables, one `cdipack` file (`{name}.cdp`) each.
@@ -618,15 +473,8 @@ impl Catalog {
         table.to_pack(&self.pack_path_of(name))
     }
 
-    /// Load a table by name, decoded and materialized (free moves — the
-    /// decode's partitions have no other owner yet).
+    /// Load a table by name.
     pub fn load(&self, name: &str) -> Result<Table> {
-        let metrics = ExecMetrics::default();
-        Ok(Table::from_pack(&self.pack_path_of(name))?.into_table(&metrics))
-    }
-
-    /// Load a table as a zero-copy [`PackedTable`].
-    pub fn load_packed(&self, name: &str) -> Result<PackedTable> {
         Table::from_pack(&self.pack_path_of(name))
     }
 
@@ -710,27 +558,6 @@ mod tests {
         let mut t = sample_table();
         t.push_row(vec![Value::Int(4), Value::Int(1), Value::Str("sg".into())]).unwrap();
         assert_eq!(t.column("cdi").unwrap().as_floats().unwrap()[3], 1.0);
-    }
-
-    #[test]
-    fn filter_by_predicate() {
-        let t = sample_table();
-        let hz = t.filter(|r| r[2] == Value::Str("hz".into()));
-        assert_eq!(hz.len(), 2);
-        assert_eq!(hz.row(1)[0], Value::Int(3));
-    }
-
-    #[test]
-    fn select_projects_and_reorders() {
-        let t = sample_table();
-        let p = t.select(&["region", "vm"]).unwrap();
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.schema().len(), 2);
-        assert_eq!(p.row(0), vec![Value::Str("hz".into()), Value::Int(1)]);
-        // Unknown column errors; duplicate selection is rejected by the
-        // schema's name-uniqueness rule.
-        assert!(t.select(&["nope"]).is_err());
-        assert!(t.select(&["vm", "vm"]).is_err());
     }
 
     #[test]

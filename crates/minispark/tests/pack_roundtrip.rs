@@ -1,9 +1,7 @@
-//! `cdipack` table persistence: round-trip fidelity, zero-copy decode
-//! accounting, and corruption robustness at the store layer.
+//! `cdipack` table persistence: round-trip fidelity and corruption
+//! robustness at the store layer.
 
-use minispark::exec::ExecMetrics;
 use minispark::store::{Catalog, ColumnType, Schema, Table, Value};
-use minispark::{Dataset, ExecContext};
 
 fn wide_table(rows: i64) -> Table {
     let schema = Schema::new(vec![
@@ -30,11 +28,8 @@ fn wide_table(rows: i64) -> Table {
 fn pack_bytes_round_trip_exactly() {
     let t = wide_table(257);
     let bytes = t.to_pack_bytes();
-    let metrics = ExecMetrics::default();
-    let back = Table::from_pack_bytes(&bytes).unwrap().into_table(&metrics);
+    let back = Table::from_pack_bytes(&bytes).unwrap();
     assert_eq!(back, t);
-    // Unique decode ownership: materializing costs zero accounted clones.
-    assert_eq!(metrics.snapshot().rows_cloned, 0);
     // Deterministic encoder: equal tables produce equal bytes.
     assert_eq!(back.to_pack_bytes(), bytes);
 }
@@ -46,9 +41,7 @@ fn pack_preserves_float_bits() {
     for v in [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.1 + 0.2, 1e-308] {
         t.push_row(vec![Value::Float(v)]).unwrap();
     }
-    let metrics = ExecMetrics::default();
-    let back =
-        Table::from_pack_bytes(&t.to_pack_bytes()).unwrap().into_table(&metrics);
+    let back = Table::from_pack_bytes(&t.to_pack_bytes()).unwrap();
     let orig = match t.column("x").unwrap() {
         minispark::store::Column::Float(c) => c.clone(),
         _ => unreachable!(),
@@ -60,30 +53,6 @@ fn pack_preserves_float_bits() {
     for (a, b) in orig.iter().zip(got.iter()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
-}
-
-#[test]
-fn packed_columns_are_shared_not_copied() {
-    let t = wide_table(100);
-    let packed = Table::from_pack_bytes(&t.to_pack_bytes()).unwrap();
-
-    // Two float handles alias the same rows — refcount bumps, not copies.
-    let a = packed.floats("cdi").unwrap();
-    let b = packed.floats("cdi").unwrap();
-    assert!(std::ptr::eq(&a[0], &b[0]), "column handles alias one materialization");
-
-    // A Dataset over the shared partition counts without cloning rows.
-    let ctx = ExecContext::new();
-    let ds = Dataset::from_partitions(vec![packed.floats("cdi").unwrap()]).unwrap();
-    assert_eq!(ds.try_count(&ctx).unwrap(), 100);
-    assert_eq!(ctx.metrics.snapshot().rows_cloned, 0, "plan reads are refcount bumps");
-
-    // Materializing to an owned Table while the packed view is alive is a
-    // real copy — and the accounting says so.
-    let metrics = ExecMetrics::default();
-    let owned = packed.to_table(&metrics);
-    assert_eq!(owned, t);
-    assert_eq!(metrics.snapshot().rows_cloned, 4 * 100, "4 shared columns × 100 rows");
 }
 
 #[test]
@@ -126,8 +95,7 @@ fn catalog_speaks_cdipack_only() {
     let t = wide_table(16);
     cat.save("vm_cdi", &t).unwrap();
     assert!(dir.join("vm_cdi.cdp").exists());
-    let packed = cat.load_packed("vm_cdi").unwrap();
-    assert_eq!(packed.len(), 16);
+    assert_eq!(cat.load("vm_cdi").unwrap().len(), 16);
     assert!(cat.load("missing").is_err());
 
     // A stray `{name}.json` beside the `.cdp` is not a table: it neither

@@ -77,8 +77,8 @@ fn wide_op_output_is_deterministic_across_contexts() {
 }
 
 /// Two independently-shuffled datasets co-partition: a key lands in the
-/// same output bucket on both sides, which is what lets `join` build each
-/// bucket locally without a second shuffle.
+/// same output bucket on both sides, whatever the input partitioning. The
+/// fixed-seed hasher behind this also routes cdi-serve targets to shards.
 #[test]
 fn shuffles_co_partition_matching_keys() {
     let buckets = |pairs: Vec<(u64, i64)>, in_parts: usize| -> Vec<Vec<(u64, i64)>> {
